@@ -1,9 +1,11 @@
 """Command-line front end: classes, seq, lc, verify, sweep.
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
-3 internal error. Machine-readable output is deterministic: JSON is
-emitted with sorted keys and no floating point, CSV with a fixed header,
-so identical inputs always produce byte-identical files.
+3 internal error. Machine-readable output is deterministic apart from
+the wall-clock ``elapsed_ms`` column of ``sweep``: JSON is emitted with
+sorted keys and no other floating point or timing, CSV with a fixed
+header, so identical inputs produce files that agree byte for byte in
+every other column.
 """
 
 from __future__ import annotations

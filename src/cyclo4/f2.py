@@ -113,11 +113,14 @@ def is_irreducible(h: int) -> bool:
 def lex_smallest_irreducible(r: int) -> int:
     """The irreducible of degree r whose coefficients, read high to low
     as a binary number, are smallest. Precomputed for the degrees that
-    arise at desk scale; found by ordered search otherwise."""
+    arise at desk scale; found by ordered search otherwise. Either way the
+    result has passed exactly one irreducibility test in this call."""
     if r < 1:
         raise ValueError("degree must be positive")
     known = _LEX_SMALLEST.get(r)
     if known is not None:
+        if not is_irreducible(known):
+            raise RuntimeError(f"internal: tabulated degree-{r} entry is reducible")
         return known
     if r == 1:
         return 2

@@ -15,8 +15,8 @@ gamma**p = 3 = -1.
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
+from itertools import repeat
+from operator import attrgetter, is_
 
 from . import f2
 from .primes import factorize, require_odd_prime
@@ -24,7 +24,17 @@ from .ringpoly import RingPolynomial, Z4
 
 
 class GaloisRing:
-    """The ring Z4[X]/(f) for a monic basic irreducible f of degree r."""
+    """The ring Z4[X]/(f) for a monic basic irreducible f of degree r.
+
+    Elements are packed into single Python ints (Kronecker substitution):
+    base-4 coordinate i occupies the B-bit slot starting at bit i*B, with
+    B = bitlen(9r) + 1. A coefficient of the product of two reduced
+    elements is at most 9r, so one big-int product computes the whole
+    convolution without carries between slots, and an AND with the slot
+    mask reduces it mod 4. The part above slot r is folded back with
+    X**r = -f_low in multiply-add rounds; each round lowers the top degree
+    by r - deg f_low, so the sparse Graeffe moduli need two or three.
+    """
 
     def __init__(self, modulus: RingPolynomial):
         if modulus.ring is not Z4:
@@ -40,109 +50,136 @@ class GaloisRing:
                 mod2 |= 1 << i
         if not f2.is_irreducible(mod2):
             raise ValueError("modulus is not basic irreducible (reducible mod 2)")
+        self._setup(modulus, mod2)
+
+    @classmethod
+    def _of_irreducible(cls, h: int) -> "GaloisRing":
+        """The ring of the Graeffe lift of h, which the caller has already
+        tested irreducible over the two-element field."""
+        ring = cls.__new__(cls)
+        ring._setup(_graeffe_lift(h), h)
+        return ring
+
+    def _setup(self, modulus: RingPolynomial, mod2: int) -> None:
+        r = modulus.degree
         self.modulus = modulus
         self.r = r
         self._mod2 = mod2
         self._key = (r, tuple(c.value for c in modulus.coeffs))
-        self._reduction = self._build_reduction()
-        self.zero = GaloisRingElement(self, (0,) * r)
-        self.one = GaloisRingElement(self, (1,) + (0,) * (r - 1))
-        self.x = GaloisRingElement(self, tuple(1 if i == 1 else 0 for i in range(r)))
-        if r == 1:
-            self.x = GaloisRingElement(self, ((-self.modulus.coeffs[0].value) % 4,))
+        self._hash = hash(self._key)
+        B = self._slot_bits = (9 * r).bit_length() + 1
+        ones = ((1 << (B * r)) - 1) // ((1 << B) - 1)  # 1 in each of r slots
+        self._odd = ones
+        self._fours = 4 * ones
+        self._mask = 3 * ones
+        self._wide_mask = 3 * (((1 << (B * (2 * r - 1))) - 1) // ((1 << B) - 1))
+        self._split = B * r
+        self._fold = self._pack((-c.value) % 4 for c in modulus.coeffs[:r])
+        # reduced terms (at most 3 per slot) that a reduced slot can take
+        self._sum_chunk = ((1 << B) - 4) // 3
+        self._constants = tuple(GaloisRingElement(self, n) for n in range(4))
+        self.zero, self.one = self._constants[0], self._constants[1]
+        self.x = GaloisRingElement(self, self._fold if r == 1 else 1 << B)
 
-    def _build_reduction(self) -> np.ndarray:
-        # row k = coefficient vector of X**(r+k) mod f, for k = 0..r-2
-        r = self.r
-        f_low = [c.value for c in self.modulus.coeffs[:r]]
-        rows = []
-        cur = [(-v) % 4 for v in f_low]  # X**r mod f
-        rows.append(list(cur))
-        for _ in range(r - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [(c - top * v) % 4 for c, v in zip(cur, f_low)]
-            rows.append(list(cur))
-        if r == 1:
-            return np.zeros((0, 1), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
+    def _pack(self, coords) -> int:
+        B = self._slot_bits
+        return sum(c << (i * B) for i, c in enumerate(coords))
+
+    def _mul_packed(self, a: int, b: int) -> int:
+        wide, split, low, fold = self._wide_mask, self._split, self._mask, self._fold
+        t = (a * b) & wide
+        high = t >> split
+        while high:
+            t = ((t & low) + high * fold) & wide
+            high = t >> split
+        return t
 
     def element(self, coords) -> "GaloisRingElement":
         coords = [int(c) % 4 for c in coords]
         if len(coords) > self.r:
             raise ValueError("coordinate vector longer than the extension degree")
-        coords += [0] * (self.r - len(coords))
-        return GaloisRingElement(self, tuple(coords))
+        return GaloisRingElement(self, self._pack(coords))
 
     def embed(self, n: int) -> "GaloisRingElement":
         """Canonical embedding of Z4: the constant with value n mod 4."""
-        return self.element([int(n) % 4])
+        return self._constants[int(n) % 4]
 
-    def _mul_coords(self, a: tuple, b: tuple) -> tuple:
-        t = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        if len(t) > self.r:
-            low = t[: self.r].copy()
-            low += t[self.r :] @ self._reduction[: len(t) - self.r]
-            t = low
-        else:
-            t = np.pad(t, (0, self.r - len(t)))
-        return tuple(int(v) for v in t % 4)
+    def sum(self, elements) -> "GaloisRingElement":
+        """The sum of many elements of this ring, accumulated packed.
+
+        Slots are reduced mod 4 only when the next chunk of terms could
+        overflow them, so sums of any length stay exact for any r.
+        """
+        elements = list(elements)
+        if not all(map(is_, map(attrgetter("ring"), elements), repeat(self))):
+            if any(e.ring != self for e in elements):
+                raise ValueError("elements of different rings")
+        packed = list(map(attrgetter("packed"), elements))
+        mask, chunk = self._mask, self._sum_chunk
+        acc = 0
+        for i in range(0, len(packed), chunk):
+            acc = (acc + sum(packed[i : i + chunk])) & mask
+        return GaloisRingElement(self, acc)
 
     @property
     def unit_group_order(self) -> int:
         return (1 << self.r) * ((1 << self.r) - 1)
 
     def __eq__(self, other):
-        return isinstance(other, GaloisRing) and self._key == other._key
+        return self is other or (isinstance(other, GaloisRing) and self._key == other._key)
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"GR(4^{self.r},4)"
 
 
 class GaloisRingElement:
-    """A residue class in GR(4**r, 4), stored as its degree < r representative."""
+    """A residue class in GR(4**r, 4): its degree < r representative, packed
+    into one int as described on :class:`GaloisRing`."""
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ("ring", "packed")
 
-    def __init__(self, ring: GaloisRing, coords: tuple):
+    def __init__(self, ring: GaloisRing, packed: int):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "packed", packed)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaloisRingElement is immutable")
 
+    @property
+    def coords(self) -> tuple:
+        """Base-4 coordinates, coefficient of X**0 first, length r."""
+        v, B = self.packed, self.ring._slot_bits
+        return tuple((v >> s) & 3 for s in range(0, self.ring._split, B))
+
     def _check_ring(self, other):
         if not isinstance(other, GaloisRingElement):
             raise TypeError(f"expected GaloisRingElement, got {type(other).__name__}")
-        if self.ring != other.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError("elements of different rings")
 
     def is_unit(self) -> bool:
         """Units are exactly the elements with a nonzero mod-2 reduction."""
-        return any(c % 2 for c in self.coords)
+        return bool(self.packed & self.ring._odd)
 
     def __add__(self, other):
         self._check_ring(other)
-        return GaloisRingElement(
-            self.ring, tuple((a + b) % 4 for a, b in zip(self.coords, other.coords))
-        )
+        return GaloisRingElement(self.ring, (self.packed + other.packed) & self.ring._mask)
 
     def __sub__(self, other):
         self._check_ring(other)
-        return GaloisRingElement(
-            self.ring, tuple((a - b) % 4 for a, b in zip(self.coords, other.coords))
-        )
+        ring = self.ring
+        return GaloisRingElement(ring, (self.packed + ring._fours - other.packed) & ring._mask)
 
     def __neg__(self):
-        return GaloisRingElement(self.ring, tuple((-a) % 4 for a in self.coords))
+        ring = self.ring
+        return GaloisRingElement(ring, (ring._fours - self.packed) & ring._mask)
 
     def __mul__(self, other):
         self._check_ring(other)
-        return GaloisRingElement(self.ring, self.ring._mul_coords(self.coords, other.coords))
+        return GaloisRingElement(self.ring, self.ring._mul_packed(self.packed, other.packed))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -175,26 +212,26 @@ class GaloisRingElement:
 
     def as_residue(self):
         """The Z4 value of an embedded constant; rejects proper extension elements."""
-        if any(self.coords[1:]):
+        if not self.is_embedded_constant:
             raise ValueError("element does not lie in the embedded Z4")
-        return Z4.embed(self.coords[0])
+        return Z4.embed(self.packed)
 
     @property
     def is_embedded_constant(self) -> bool:
-        return not any(self.coords[1:])
+        return not self.packed >> self.ring._slot_bits
 
     def __eq__(self, other):
         return (
             isinstance(other, GaloisRingElement)
+            and self.packed == other.packed
             and self.ring == other.ring
-            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.ring._key, self.coords))
+        return hash((self.ring._hash, self.packed))
 
     def __str__(self):
-        if not any(self.coords):
+        if not self.packed:
             return "0"
         parts = []
         for i, c in enumerate(self.coords):
@@ -233,6 +270,10 @@ def lift_irreducible(h: int) -> RingPolynomial:
     """
     if not f2.is_irreducible(h):
         raise ValueError("polynomial is reducible over the two-element field")
+    return _graeffe_lift(h)
+
+
+def _graeffe_lift(h: int) -> RingPolynomial:
     r = f2.degree(h)
     bits = [(h >> i) & 1 for i in range(r + 1)]
     hz4 = RingPolynomial.from_ints(Z4, bits)
@@ -254,7 +295,8 @@ def lift_irreducible(h: int) -> RingPolynomial:
 def construct_ring(p: int) -> GaloisRing:
     """The canonical GR(4**r, 4) for an odd prime p, r = ord of 2 mod p."""
     r = ord2_mod_p(p)
-    ring = GaloisRing(lift_irreducible(f2.lex_smallest_irreducible(r)))
+    # lex_smallest_irreducible has tested h once; the lift and the ring trust it
+    ring = GaloisRing._of_irreducible(f2.lex_smallest_irreducible(r))
     # Teichmüller check on the lift: the class of X has order dividing 2**r - 1.
     if ring.x ** ((1 << r) - 1) != ring.one:
         raise RuntimeError("internal: modulus is not a Graeffe lift")

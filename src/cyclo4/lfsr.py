@@ -58,8 +58,7 @@ class LfsrResult:
     def __post_init__(self):
         if self.connection.constant != Z4.one:
             raise ValueError("connection polynomial must have constant term 1")
-        expected = 0 if self.lc == 0 else self.lc
-        if self.connection.degree != expected:
+        if self.connection.degree != self.lc:
             raise ValueError("connection degree must equal the complexity")
 
     def connection_ints(self) -> list[int]:

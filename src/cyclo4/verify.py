@@ -17,8 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cyclotomy import GeneralizedCyclotomy, build_classes
 from .galois import GaloisRing, GaloisRingElement, construct_ring, find_gamma, powers_of
 from .lfsr import reeds_sloane, theorem_lc
@@ -120,19 +118,17 @@ class _Workspace:
         self.normalized = normalize_gamma(self.ring, self.classes, raw_gamma)
         self.gamma = self.normalized.gamma
         self.powers = powers_of(self.gamma, 2 * p)
-        self.power_rows = np.array([e.coords for e in self.powers], dtype=np.int64)
         self.seq = generate_sequence(p, self.classes)
 
     def sequence_values_at_powers(self) -> list[GaloisRingElement]:
         """S(gamma**v) for v = 0..2p-1, via the cached power table."""
         n = 2 * self.p
-        svec = np.array(self.seq.values, dtype=np.int64)
+        ring, powers = self.ring, self.powers
+        support = [[u for u, s in enumerate(self.seq.values) if s == k] for k in (1, 2, 3)]
         out = []
-        base = np.arange(n, dtype=np.int64)
         for v in range(n):
-            rows = self.power_rows[(v * base) % n]
-            coords = (svec @ rows) % 4
-            out.append(self.ring.element(coords))
+            s1, s2, s3 = (ring.sum([powers[u * v % n] for u in us]) for us in support)
+            out.append(s1 + s2 + s2 - s3)  # s1 + 2*s2 + 3*s3, as 3 = -1
         return out
 
 
@@ -148,15 +144,13 @@ def check_gamma(ws: _Workspace) -> CheckResult:
         problems.append("gamma**(2p) != 1")
     if not ws.normalized.s0.is_unit():
         problems.append("normalized class sum is not a unit")
-    n = 2 * p
-    rows = ws.power_rows
-    residues = np.arange(n, dtype=np.int64) % p
-    for v1 in range(n):
-        odd = (((rows[v1][None, :] - rows) % 4) % 2).any(axis=1)
-        need = residues != residues[v1]
-        bad = np.nonzero(need & ~odd)[0]
-        if bad.size:
-            problems.append(f"gamma^{v1} - gamma^{int(bad[0])} is not a unit")
+    # gamma^a - gamma^b = gamma^b (gamma^(a-b) - 1) and gamma^b is a unit, so
+    # the pairs reduce to the differences d = a - b. The first failing pair
+    # of the pairwise scan is (0, d) for the least failing d.
+    one = ring.one
+    for d in range(2 * p):
+        if d % p and not (ws.powers[d] - one).is_unit():
+            problems.append(f"gamma^0 - gamma^{d} is not a unit")
             break
     detail = problems[0] if problems else (
         f"beta^p=1, gamma^p=-1, gamma^2p=1, distinct powers differ by units"

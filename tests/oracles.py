@@ -3,8 +3,12 @@
 The solvability oracle decides A x = b over Z4 by unit-pivot elimination
 followed by halving the leftover all-even subsystem into GF(2); minimal
 cyclic annihilator degrees then come from trying degrees in ascending
-order. Everything here is deliberately naive and separate from the
-library's own code paths.
+order. The Galois-ring oracles work on plain coordinate tuples (constant
+term first) of Z4[X]/(f): a schoolbook product with top-down reduction
+by the monic f, the pairwise unit-difference scan over a power table, and
+the sequence values S(gamma**v) summed one term at a time. Everything
+here is deliberately naive and separate from the library's own code
+paths.
 """
 
 from __future__ import annotations
@@ -82,3 +86,59 @@ def cyclic_min_degree(values: list[int]) -> int:
         if cyclic_annihilator_exists(values, degree):
             return degree
     raise AssertionError("1 + 3X^n always annihilates; degree n must succeed")
+
+
+def gr_mul(modulus: list[int], a, b) -> tuple:
+    """Product of coordinate vectors in Z4[X]/(f), f monic given constant first."""
+    r = len(modulus) - 1
+    t = [0] * (2 * r - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            t[i + j] += x * y
+    for k in range(len(t) - 1, r - 1, -1):
+        c = t[k] % 4
+        for j, m in enumerate(modulus):
+            t[k - r + j] -= c * m
+    return tuple(v % 4 for v in t[:r])
+
+
+def gr_pow(modulus: list[int], a, n: int) -> tuple:
+    r = len(modulus) - 1
+    result = (1,) + (0,) * (r - 1)
+    for bit in bin(n)[2:]:
+        result = gr_mul(modulus, result, result)
+        if bit == "1":
+            result = gr_mul(modulus, result, a)
+    return result
+
+
+def gr_is_unit(a) -> bool:
+    return any(c % 2 for c in a)
+
+
+def pairwise_gamma_failure(powers: list[tuple], p: int) -> str | None:
+    """First pair (v1, v2), v1 != v2 mod p, whose power difference is not a
+    unit, scanned row by row; None when every such difference is a unit."""
+    n = 2 * p
+    for v1 in range(n):
+        for v2 in range(n):
+            if v1 % p != v2 % p:
+                diff = [(x - y) % 4 for x, y in zip(powers[v1], powers[v2])]
+                if not gr_is_unit(diff):
+                    return f"gamma^{v1} - gamma^{v2} is not a unit"
+    return None
+
+
+def sequence_values(powers: list[tuple], values: list[int]) -> list[tuple]:
+    """S(gamma**v) = sum over u of s_u * gamma**(u*v) for v = 0..n-1, with
+    the power table given as coordinate tuples."""
+    n = len(values)
+    r = len(powers[0])
+    out = []
+    for v in range(n):
+        acc = [0] * r
+        for u, s in enumerate(values):
+            for i, c in enumerate(powers[u * v % n]):
+                acc[i] += s * c
+        out.append(tuple(x % 4 for x in acc))
+    return out

@@ -145,6 +145,17 @@ class TestSweep:
         content = target.read_text().splitlines()
         assert content[0] == CSV_HEADER and len(content) == 4
 
+    def test_repeat_runs_agree_except_elapsed_ms(self, capsys, tmp_path):
+        tables = []
+        for name in ("a.csv", "b.csv"):
+            target = tmp_path / name
+            assert main(["sweep", "--from", "3", "--to", "61", "--out", str(target)]) == 0
+            lines = target.read_text().splitlines()
+            assert lines[0].endswith(",elapsed_ms")
+            tables.append([line.rsplit(",", 1)[0] for line in lines])
+        capsys.readouterr()
+        assert tables[0] == tables[1] and len(tables[0]) == 1 + 17
+
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--from", "3", "--to", "10",
                            "--out", str(tmp_path / "missing" / "x.csv"))

@@ -2,10 +2,12 @@ import pytest
 
 from cyclo4.cyclotomy import build_classes
 from cyclo4.galois import construct_ring, find_gamma, powers_of
+from cyclo4.lfsr import theorem_lc
 from cyclo4.primes import odd_primes
 from cyclo4.ringpoly import NonUnitDivisorError, RingPolynomial, Z4
 from cyclo4.sequence import generating_polynomial
 from cyclo4.verify import (
+    DEFAULT_EXPANSION_CAP,
     CheckStatus,
     check_factorizations,
     check_lemma3,
@@ -176,3 +178,18 @@ class TestFullReport:
             covered.setdefault(p % 16, []).append(p)
         assert set(covered) == {1, 3, 5, 7, 9, 11, 13, 15}
         assert all(len(v) >= 2 for v in covered.values())
+
+
+@pytest.mark.slow
+def test_full_report_every_prime_below_500():
+    for p in odd_primes(3, 499):
+        report = full_report(p)
+        for check in report.checks:
+            if check.status is CheckStatus.SKIP:
+                above_cap = p > DEFAULT_EXPANSION_CAP
+                assert check.check_id in ("factorization", "lemma9"), (p, check.render())
+                assert above_cap or (check.check_id == "lemma9" and p % 8 in (3, 5))
+            else:
+                assert check.status is CheckStatus.PASS, (p, check.render())
+        theorem = next(c for c in report.checks if c.check_id == "theorem")
+        assert theorem.detail == f"lc = {theorem_lc(p)} = closed form"
