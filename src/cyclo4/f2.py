@@ -1,8 +1,9 @@
 """Polynomials over the two-element field, packed as int bitmasks.
 
-Bit i of the mask is the coefficient of X**i. These are internal helpers
-for constructing basic irreducible moduli: irreducibility testing and the
-canonical (lexicographically smallest) irreducible of each degree.
+Bit i of the mask is the coefficient of X**i. These are internal helpers:
+arithmetic, gcd and inverses for the LFSR synthesis, and for constructing
+basic irreducible moduli, irreducibility testing and the canonical
+(lexicographically smallest) irreducible of each degree.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ def degree(a: int) -> int:
 
 
 def mul(a: int, b: int) -> int:
+    # one pass per bit of the shorter operand
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
     res = 0
     while b:
         if b & 1:
@@ -47,21 +51,32 @@ def inverse_mod(a: int, m: int) -> int:
     r0, r1 = m, mod(a, m)
     s0, s1 = 0, 1
     while r1:
-        q = _quotient(r0, r1)
-        r0, r1 = r1, r0 ^ mul(q, r1)
+        q, r = quo_rem(r0, r1)
+        r0, r1 = r1, r
         s0, s1 = s1, s0 ^ mul(q, s1)
     if r0 != 1:
         raise ZeroDivisionError("element is not invertible")
     return mod(s0, m)
 
 
-def _quotient(a: int, b: int) -> int:
+def quo_rem(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder of a by a nonzero b."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
     q = 0
     db = b.bit_length()
     while a.bit_length() >= db:
         shift = a.bit_length() - db
         q |= 1 << shift
         a ^= b << shift
+    return q, a
+
+
+def exact_div(a: int, b: int) -> int:
+    """The quotient a / b; raises ValueError unless b divides a."""
+    q, r = quo_rem(a, b)
+    if r:
+        raise ValueError("not divisible")
     return q
 
 

@@ -6,9 +6,12 @@ cyclic annihilator degrees then come from trying degrees in ascending
 order. The Galois-ring oracles work on plain coordinate tuples (constant
 term first) of Z4[X]/(f): a schoolbook product with top-down reduction
 by the monic f, the pairwise unit-difference scan over a power table, and
-the sequence values S(gamma**v) summed one term at a time. Everything
-here is deliberately naive and separate from the library's own code
-paths.
+the sequence values S(gamma**v) summed one term at a time. Over GF(2)
+(bitmask polynomials) there is a coefficient-by-coefficient product, and
+an incremental column echelon that finds the minimal connection
+polynomial by a route independent of the library's module reduction, with
+a plain cyclic annihilation test. Everything here is deliberately naive
+and separate from the library's own code paths.
 """
 
 from __future__ import annotations
@@ -142,3 +145,121 @@ def sequence_values(powers: list[tuple], values: list[int]) -> list[tuple]:
                 acc[i] += s * c
         out.append(tuple(x % 4 for x in acc))
     return out
+
+
+def gf2_mul(a: int, b: int) -> int:
+    """Schoolbook product of bitmask polynomials, one coefficient pair at a time."""
+    out = 0
+    for i in range(a.bit_length()):
+        for j in range(b.bit_length()):
+            out ^= ((a >> i) & (b >> j) & 1) << (i + j)
+    return out
+
+
+def gf2_divmod(a: int, b: int) -> tuple[int, int]:
+    q = 0
+    while a.bit_length() >= b.bit_length():
+        shift = a.bit_length() - b.bit_length()
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def gf2_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, gf2_divmod(a, b)[1]
+    return a
+
+
+def annihilates(values: list[int], coeffs: list[int]) -> bool:
+    """Does sum c_i X**i kill sum s_j X**j modulo (X**n - 1, 4)?"""
+    n = len(values)
+    acc = [0] * n
+    for i, c in enumerate(coeffs):
+        for j, s in enumerate(values):
+            acc[(i + j) % n] += c * s
+    return all(x % 4 == 0 for x in acc)
+
+
+def echelon_minimal_connection(values: list[int]) -> tuple[int, list[int]]:
+    """Least-degree cyclic annihilator with constant term 1 over Z4, as
+    ``(degree, coefficients)``, constant term first.
+
+    C mod 2 must be a multiple of g = (X**n - 1)/gcd(S mod 2, X**n - 1).
+    Writing C = lift(g)*lift(u) + 2*lift(v) (u(0) = 1, v(0) = 0), the mod-4
+    layer is W*u + (S mod 2)*v = 0 mod X**n - 1 over GF(2), where
+    2*W = S*lift(g) cyclically. Candidate degrees d are admitted one at a
+    time, each adding one shifted column of W and one of S mod 2 to a
+    growing echelon; the first d whose column space reaches W wins.
+    """
+    values = [v % 4 for v in values]
+    n = len(values)
+    if not any(values):
+        return 0, [1]
+    mask = (1 << n) - 1
+
+    def rotate(vec):  # times X modulo X**n - 1
+        vec <<= 1
+        return (vec & mask) | (vec >> n)
+
+    sbar = sum(1 << i for i, v in enumerate(values) if v % 2)
+    xn1 = (1 << n) | 1
+    gbar, rem = gf2_divmod(xn1, gf2_gcd(sbar, xn1))
+    assert rem == 0
+    gdeg = gbar.bit_length() - 1
+    folded = [0] * n
+    for i in range(gdeg + 1):
+        if (gbar >> i) & 1:
+            for j, s in enumerate(values):
+                folded[(i + j) % n] += s
+    assert all(x % 2 == 0 for x in folded), "S*lift(g) is not even cyclically"
+    w0 = sum(1 << i for i, x in enumerate(folded) if x % 4 == 2)
+
+    pivots: dict[int, tuple[int, int]] = {}  # lead bit -> (vector, column combination)
+    columns: list[tuple[str, int]] = []
+
+    def reduce(vec, combo):
+        while vec and vec.bit_length() - 1 in pivots:
+            pv, pc = pivots[vec.bit_length() - 1]
+            vec ^= pv
+            combo ^= pc
+        return vec, combo
+
+    def insert(vec, kind, i):
+        columns.append((kind, i))
+        vec, combo = reduce(vec, 1 << (len(columns) - 1))
+        if vec:
+            pivots[vec.bit_length() - 1] = (vec, combo)
+
+    residual, rcombo = w0, 0
+    ucol, vcol = w0, sbar
+    degree = gdeg
+    for i in range(1, gdeg + 1):
+        vcol = rotate(vcol)
+        insert(vcol, "v", i)
+    residual, rcombo = reduce(residual, rcombo)
+    while residual:
+        degree += 1
+        assert degree <= n, "no annihilator up to the period length"
+        ucol = rotate(ucol)
+        insert(ucol, "u", degree - gdeg)
+        vcol = rotate(vcol)
+        insert(vcol, "v", degree)
+        residual, rcombo = reduce(residual, rcombo)
+
+    ubar, vbar = 1, 0
+    for cid, (kind, i) in enumerate(columns):
+        if (rcombo >> cid) & 1:
+            if kind == "u":
+                ubar ^= 1 << i
+            else:
+                vbar ^= 1 << i
+    coeffs = [0] * (degree + 1)
+    for i in range(gdeg + 1):
+        for j in range(ubar.bit_length()):
+            coeffs[i + j] += (gbar >> i) & (ubar >> j) & 1
+    coeffs = [(c + 2 * ((vbar >> i) & 1)) % 4 for i, c in enumerate(coeffs)]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    assert len(coeffs) - 1 == degree, "witness degree disagrees with the search"
+    return degree, coeffs

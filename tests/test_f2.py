@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from cyclo4 import f2
+
+# bitmask polynomials of degree up to 200, many of them short
+_POLYS = st.integers(0, 200).flatmap(lambda d: st.integers(0, (1 << (d + 1)) - 1))
 
 
 def test_known_small_irreducibles():
@@ -64,3 +70,34 @@ def test_inverse_mod_round_trips():
 def test_inverse_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         f2.inverse_mod(0, 0b111)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYS, _POLYS)
+def test_mul_matches_schoolbook_in_both_orders(a, b):
+    want = oracles.gf2_mul(a, b)
+    assert f2.mul(a, b) == want
+    assert f2.mul(b, a) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYS, _POLYS.filter(bool))
+def test_quo_rem_divides(a, b):
+    q, r = f2.quo_rem(a, b)
+    assert f2.degree(r) < f2.degree(b)
+    assert oracles.gf2_mul(q, b) ^ r == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(_POLYS, _POLYS.filter(bool))
+def test_exact_div(a, b):
+    product = oracles.gf2_mul(a, b)
+    assert f2.exact_div(product, b) == a
+    if f2.quo_rem(product ^ 1, b)[1]:
+        with pytest.raises(ValueError):
+            f2.exact_div(product ^ 1, b)
+
+
+def test_division_by_zero_rejected():
+    with pytest.raises(ZeroDivisionError):
+        f2.quo_rem(0b101, 0)

@@ -1,8 +1,14 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import cyclo4
 from cyclo4.lfsr import (
     LfsrResult,
     ResidueClass,
@@ -12,11 +18,13 @@ from cyclo4.lfsr import (
     reeds_sloane,
     theorem_lc,
     verify_connection,
+    _u_pivot_row,
 )
 from cyclo4.primes import odd_primes
 from cyclo4.ringpoly import RingPolynomial, Z4
 from cyclo4.sequence import generate_sequence, generating_polynomial
 
+import oracles
 from oracles import cyclic_annihilator_exists, cyclic_min_degree
 
 
@@ -96,6 +104,103 @@ class TestVerifyConnection:
             conn = zp(*coeffs)
             via_poly = (generating_polynomial(values) * conn).mod_cyclic(n).is_zero
             assert verify_connection(values, conn) == via_poly
+
+    @pytest.mark.parametrize("n", [28, 29, 30, 31, 57])
+    def test_full_slots(self, n):
+        # with the first connection a wrapped slot sums 3 + 9(n - 1), past one byte from n = 30
+        values = [3] * n
+        for coeffs in ([1] + [3] * (n - 1), [1] + [3] * (n - 2) + [2], [1] + [3] * (2 * n)):
+            assert verify_connection(values, zp(*coeffs)) == oracles.annihilates(values, coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_agrees_with_oracle_past_the_period(self, data):
+        # connections longer than the period wrap around before the product
+        n = data.draw(st.integers(1, 40))
+        values = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        tail = data.draw(st.lists(st.integers(0, 3), max_size=3 * n))
+        coeffs = [1] + tail
+        assert verify_connection(values, zp(*coeffs)) == oracles.annihilates(values, coeffs)
+
+
+@st.composite
+def _square_factor_periods(draw):
+    """Periods whose odd layer S mod 2 is a multiple of f**2 modulo
+    X**n + 1, for f = X + 1 or X**2 + X + 1 and n a multiple of 2 or 6: so
+    f**2 divides gcd(S mod 2, X**n + 1)."""
+    f, step = draw(st.sampled_from([(0b11, 2), (0b111, 6)]))
+    n = step * draw(st.integers(1, 64 // step))
+    r, high = draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, (1 << n) - 1))
+    sbar = oracles.gf2_divmod(oracles.gf2_mul(oracles.gf2_mul(f, f), r), (1 << n) | 1)[1]
+    return f, [((sbar >> i) & 1) + 2 * ((high >> i) & 1) for i in range(n)]
+
+
+def _assert_matches_echelon(values):
+    lc, coeffs = minimal_connection(values)
+    assert lc == oracles.echelon_minimal_connection(list(values))[0], values
+    assert coeffs[0] == 1 and len(coeffs) == lc + 1 and coeffs[-1] != 0
+    assert oracles.annihilates(list(values), coeffs), values
+
+
+class TestAgainstEchelon:
+    """The module-reduction solver against the incremental echelon oracle."""
+
+    def test_every_period_up_to_length_6(self):
+        for n in range(1, 7):
+            for values in itertools.product(range(4), repeat=n):
+                _assert_matches_echelon(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=64))
+    def test_random_periods(self, values):
+        _assert_matches_echelon(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([0, 2]), min_size=1, max_size=64))
+    def test_all_even_periods(self, values):
+        # S mod 2 = 0, so g = 1 and the module's B vanishes
+        _assert_matches_echelon(values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_square_factor_periods())
+    def test_repeated_factor_in_the_odd_layer(self, case):
+        f, values = case
+        sbar = sum(1 << i for i, v in enumerate(values) if v % 2)
+        common = oracles.gf2_gcd(sbar, (1 << len(values)) | 1)
+        assert oracles.gf2_divmod(common, oracles.gf2_mul(f, f))[1] == 0
+        _assert_matches_echelon(values)
+
+    @pytest.mark.parametrize(
+        "start,stop", [(3, 1000), pytest.param(1001, 4001, marks=pytest.mark.slow)]
+    )
+    def test_closed_form_for_every_odd_prime(self, start, stop):
+        primes = odd_primes(start, stop)
+        assert [p for p in primes if reeds_sloane(generate_sequence(p)).lc != theorem_lc(p)] == []
+
+
+class TestWeakPopov:
+    """The 2x2 shifted weak Popov step; a tie of shifted degrees pivots on V."""
+
+    def test_tie_pivots_on_v(self):
+        # (1, X) ties at shifted degree 1, so it is not a U-pivot row
+        assert _u_pivot_row((1, 0b10), (0, 0b100), 1) == (0b10, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 24) - 1), min_size=4, max_size=4), st.integers(0, 8))
+    def test_returned_row_pivots_strictly_on_u(self, entries, shift):
+        u1, v1, u2, v2 = entries
+        assume(oracles.gf2_mul(u1, v2) != oracles.gf2_mul(u2, v1))  # nonsingular
+        u, v = _u_pivot_row((u1, v1), (u2, v2), shift)
+        assert u and u.bit_length() - 1 + shift > v.bit_length() - 1
+
+
+def test_import_leaves_numpy_out():
+    src = str(Path(cyclo4.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import cyclo4; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestReedsSloane:
