@@ -5,87 +5,27 @@ generates the quaternary sequence they define, computes its linear
 complexity by three independent routes (register synthesis over Z4,
 brute-force search, closed form), and mechanically verifies the
 supporting algebra inside Galois rings of characteristic 4.
+
+The package namespace holds the entry points of the README's Library
+section; everything else is imported from its module (``cyclo4.galois``,
+``cyclo4.lfsr``, ...).
 """
 
-from .cyclotomy import (
-    ClassLabel,
-    GeneralizedCyclotomy,
-    build_classes,
-    find_common_primitive_root,
-)
-from .galois import (
-    GaloisRing,
-    GaloisRingElement,
-    construct_ring,
-    find_gamma,
-    lift_irreducible,
-    multiplicative_order,
-    ord2_mod_p,
-    powers_of,
-)
-from .lfsr import (
-    LfsrResult,
-    ResidueClass,
-    brute_force_minimal,
-    classify_prime,
-    minimal_connection,
-    reeds_sloane,
-    theorem_lc,
-    verify_connection,
-)
-from .ringpoly import NEG_INF, NonUnitDivisorError, Residue4, RingPolynomial, Z4
-from .sequence import (
-    QuaternarySequence,
-    class_sum_polynomials,
-    generate_sequence,
-    generating_polynomial,
-)
-from .verify import (
-    CheckResult,
-    CheckStatus,
-    LemmaReport,
-    NormalizedGamma,
-    full_report,
-    normalize_gamma,
-)
+from .cyclotomy import build_classes
+from .galois import construct_ring, find_gamma
+from .lfsr import reeds_sloane, theorem_lc
+from .sequence import generate_sequence
+from .verify import full_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassLabel",
-    "GeneralizedCyclotomy",
     "build_classes",
-    "find_common_primitive_root",
-    "GaloisRing",
-    "GaloisRingElement",
-    "construct_ring",
-    "find_gamma",
-    "lift_irreducible",
-    "multiplicative_order",
-    "ord2_mod_p",
-    "powers_of",
-    "LfsrResult",
-    "ResidueClass",
-    "brute_force_minimal",
-    "classify_prime",
-    "minimal_connection",
+    "generate_sequence",
     "reeds_sloane",
     "theorem_lc",
-    "verify_connection",
-    "NEG_INF",
-    "NonUnitDivisorError",
-    "Residue4",
-    "RingPolynomial",
-    "Z4",
-    "QuaternarySequence",
-    "class_sum_polynomials",
-    "generate_sequence",
-    "generating_polynomial",
-    "CheckResult",
-    "CheckStatus",
-    "LemmaReport",
-    "NormalizedGamma",
+    "construct_ring",
+    "find_gamma",
     "full_report",
-    "normalize_gamma",
     "__version__",
 ]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .primes import factorize
+
 
 def degree(a: int) -> int:
     """Degree of the bitmask polynomial; -1 for the zero polynomial."""
@@ -30,6 +32,8 @@ def mul(a: int, b: int) -> int:
 
 
 def mod(a: int, m: int) -> int:
+    if not m:
+        raise ZeroDivisionError("division by the zero polynomial")
     dm = m.bit_length()
     while a.bit_length() >= dm:
         a ^= m << (a.bit_length() - dm)
@@ -80,27 +84,10 @@ def exact_div(a: int, b: int) -> int:
     return q
 
 
-def _prime_divisors(n: int):
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(h: int) -> bool:
-    """Irreducibility over the two-element field.
-
-    Degrees up to 16 are settled by exhaustive trial division; larger
-    degrees use the Rabin test (X**(2**r) = X mod h, plus gcd conditions
-    at the maximal proper prime-index subfields).
-    """
+    """Irreducibility over the two-element field, by the Rabin test:
+    X**(2**r) = X mod h, and gcd(X**(2**(r/q)) - X, h) = 1 for each prime
+    q dividing r. The test is exact for every degree r >= 2."""
     r = degree(h)
     if r <= 0:
         return False
@@ -108,15 +95,9 @@ def is_irreducible(h: int) -> bool:
         return True
     if h & 1 == 0:
         return False
-    if r <= 16:
-        for d in range(1, r // 2 + 1):
-            for low in range(1 << d):
-                if mod(h, (1 << d) | low) == 0:
-                    return False
-        return True
     x = 2
     t = x
-    checkpoints = {r // q for q in _prime_divisors(r)}
+    checkpoints = {r // q for q in factorize(r)}
     for i in range(1, r + 1):
         t = mulmod(t, t, h)
         if i in checkpoints and gcd(t ^ x, h) != 1:

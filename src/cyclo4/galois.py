@@ -6,6 +6,11 @@ irreducible). The canonical modulus for a given r is the Graeffe lift of
 the lexicographically smallest irreducible of degree r, which makes every
 constructed ring, and hence every downstream value, reproducible.
 
+Z4 itself is GR(4, 4), the r = 1 ring of modulus X (the lift of the
+degree-1 irreducible X), so the integers mod 4 and their extensions share
+one element type. :data:`Z4` is that ring; a modulus is a polynomial over
+it, which is why the rings are set up from plain coefficient tuples.
+
 For an odd prime p with r the order of 2 mod p, the unit group (of order
 2**r * (2**r - 1)) contains elements of order p; ``find_gamma`` returns
 such a beta together with gamma = 3*beta, a unit of order 2p satisfying
@@ -14,13 +19,13 @@ gamma**p = 3 = -1.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import attrgetter, is_
 
 from . import f2
 from .primes import factorize, require_odd_prime
-from .ringpoly import RingPolynomial, Z4
+from .ringpoly import RingPolynomial
 
 
 class GaloisRing:
@@ -39,18 +44,16 @@ class GaloisRing:
     def __init__(self, modulus: RingPolynomial):
         if modulus.ring is not Z4:
             raise ValueError("modulus must be a polynomial over Z4")
-        r = modulus.degree
-        if not isinstance(r, int) or r < 1:
+        coeffs = tuple(c.value for c in modulus.coeffs)
+        r = len(coeffs) - 1
+        if r < 1:
             raise ValueError("modulus must have positive degree")
-        if modulus.coeffs[-1] != Z4.one:
+        if coeffs[-1] != 1:
             raise ValueError("modulus must be monic")
-        mod2 = 0
-        for i, c in enumerate(modulus.coeffs):
-            if c.value % 2:
-                mod2 |= 1 << i
+        mod2 = sum(1 << i for i, c in enumerate(coeffs) if c % 2)
         if not f2.is_irreducible(mod2):
             raise ValueError("modulus is not basic irreducible (reducible mod 2)")
-        self._setup(modulus, mod2)
+        self._setup(coeffs, mod2)
 
     @classmethod
     def _of_irreducible(cls, h: int) -> "GaloisRing":
@@ -60,12 +63,13 @@ class GaloisRing:
         ring._setup(_graeffe_lift(h), h)
         return ring
 
-    def _setup(self, modulus: RingPolynomial, mod2: int) -> None:
-        r = modulus.degree
-        self.modulus = modulus
+    def _setup(self, modulus: tuple[int, ...], mod2: int) -> None:
+        """Set up the ring of the monic modulus f given by its coefficients
+        in 0..3, constant term first, with f mod 2 = mod2 irreducible."""
+        r = len(modulus) - 1
         self.r = r
         self._mod2 = mod2
-        self._key = (r, tuple(c.value for c in modulus.coeffs))
+        self._key = (r, modulus)
         self._hash = hash(self._key)
         B = self._slot_bits = (9 * r).bit_length() + 1
         ones = ((1 << (B * r)) - 1) // ((1 << B) - 1)  # 1 in each of r slots
@@ -74,12 +78,17 @@ class GaloisRing:
         self._mask = 3 * ones
         self._wide_mask = 3 * (((1 << (B * (2 * r - 1))) - 1) // ((1 << B) - 1))
         self._split = B * r
-        self._fold = self._pack((-c.value) % 4 for c in modulus.coeffs[:r])
+        self._fold = self._pack((-c) % 4 for c in modulus[:r])
         # reduced terms (at most 3 per slot) that a reduced slot can take
         self._sum_chunk = ((1 << B) - 4) // 3
         self._constants = tuple(GaloisRingElement(self, n) for n in range(4))
         self.zero, self.one = self._constants[0], self._constants[1]
         self.x = GaloisRingElement(self, self._fold if r == 1 else 1 << B)
+
+    @cached_property
+    def modulus(self) -> RingPolynomial:
+        """The monic modulus f as a polynomial over :data:`Z4`."""
+        return RingPolynomial.from_ints(Z4, self._key[1])
 
     def _pack(self, coords) -> int:
         B = self._slot_bits
@@ -210,11 +219,16 @@ class GaloisRingElement:
             raise RuntimeError("internal: unit inversion failed")
         return b
 
-    def as_residue(self):
-        """The Z4 value of an embedded constant; rejects proper extension elements."""
-        if not self.is_embedded_constant:
+    @property
+    def value(self) -> int:
+        """The int 0..3 of an embedded constant; rejects proper extension elements."""
+        if self.packed >> self.ring._slot_bits:
             raise ValueError("element does not lie in the embedded Z4")
-        return Z4.embed(self.packed)
+        return self.packed
+
+    def as_residue(self) -> "GaloisRingElement":
+        """An embedded constant as an element of :data:`Z4`."""
+        return Z4.embed(self.value)
 
     @property
     def is_embedded_constant(self) -> bool:
@@ -270,25 +284,29 @@ def lift_irreducible(h: int) -> RingPolynomial:
     """
     if not f2.is_irreducible(h):
         raise ValueError("polynomial is reducible over the two-element field")
-    return _graeffe_lift(h)
+    return RingPolynomial.from_ints(Z4, _graeffe_lift(h))
 
 
-def _graeffe_lift(h: int) -> RingPolynomial:
+def _graeffe_lift(h: int) -> tuple[int, ...]:
+    """The coefficients in 0..3 of the Graeffe lift of h, constant term
+    first, from h(X)*h(-X) over the integers (h is sparse)."""
     r = f2.degree(h)
-    bits = [(h >> i) & 1 for i in range(r + 1)]
-    hz4 = RingPolynomial.from_ints(Z4, bits)
-    hneg = RingPolynomial.from_ints(
-        Z4, [b if i % 2 == 0 else -b for i, b in enumerate(bits)]
-    )
-    prod = hz4 * hneg
-    if r % 2:
-        prod = -prod
-    if any(c.value for c in prod.coeffs[1::2]):
+    terms = [i for i in range(r + 1) if (h >> i) & 1]
+    prod = [0] * (2 * r + 1)
+    for i in terms:
+        for j in terms:
+            prod[i + j] += -1 if j % 2 else 1
+    if any(prod[1::2]):
         raise RuntimeError("internal: Graeffe product has odd-degree terms")
-    f = RingPolynomial(Z4, prod.coeffs[0::2])
-    if f.degree != r or f.coeffs[-1] != Z4.one:
+    sign = -1 if r % 2 else 1
+    f = tuple(sign * c % 4 for c in prod[0::2])
+    if f[-1] != 1:
         raise RuntimeError("internal: Graeffe lift is not monic of the right degree")
     return f
+
+
+# GR(4, 4): the lift of X is X itself, so its elements are the constants 0..3
+Z4 = GaloisRing._of_irreducible(0b10)
 
 
 @lru_cache(maxsize=None)

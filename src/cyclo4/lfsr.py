@@ -30,8 +30,9 @@ import enum
 from dataclasses import dataclass
 
 from . import f2
+from .galois import Z4
 from .primes import require_odd_prime
-from .ringpoly import RingPolynomial, Z4
+from .ringpoly import RingPolynomial
 from .sequence import QuaternarySequence
 
 
@@ -96,10 +97,13 @@ def theorem_lc(p: int) -> int:
     }[cls]
 
 
-def _period_values(s) -> tuple[int, ...]:
+def _period_values(s) -> bytes:
+    """One period as bytes, each value reduced mod 4. Bytes (and a
+    QuaternarySequence) take no Python-level loop; any other iterable,
+    a generator included, is read once."""
     if isinstance(s, QuaternarySequence):
-        return s.values
-    values = tuple(int(v) % 4 for v in s)
+        s = bytes(s.values)
+    values = s.translate(_MOD4) if isinstance(s, bytes) else bytes(int(v) % 4 for v in s)
     if not values:
         raise ValueError("empty period")
     return values
@@ -181,7 +185,7 @@ def verify_connection(s, connection: RingPolynomial) -> bool:
         raise ValueError("connection polynomial must have constant term 1")
     values = _period_values(s)
     coeffs = bytes(c.value for c in connection.coeffs)
-    return _cyclic_product(bytes(values), coeffs, len(values)) == bytes(len(values))
+    return _cyclic_product(values, coeffs, len(values)) == bytes(len(values))
 
 
 def minimal_connection(period) -> tuple[int, list[int]]:
@@ -209,7 +213,7 @@ def minimal_connection(period) -> tuple[int, list[int]]:
     shifted degree, so that row is the witness and its shifted degree is
     the linear complexity.
     """
-    values = bytes(_period_values(period))
+    values = _period_values(period)
     n = len(values)
     if not any(values):
         return 0, [1]
@@ -312,7 +316,7 @@ def brute_force_minimal(s, degree_cap: int | None = None) -> LfsrResult:
     if not any(values):
         return LfsrResult(lc=0, connection=RingPolynomial.from_ints(Z4, [1]))
 
-    svec = np.array(values, dtype=np.int64)
+    svec = np.frombuffer(values, dtype=np.uint8).astype(np.int64)
     for degree in range(1, cap + 1):
         # window[j, i] = s[(j - 1 - i) mod n]: residue j of the cyclic
         # product S*C receives c_{i+1} * window[j, i].

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10**24.
+# Deterministic Miller-Rabin witnesses for n < _MR_LIMIT (about 3.3 * 10**24).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
+    """Primality, proven by the Miller-Rabin bases above for n < _MR_LIMIT;
+    beyond it a composite could pass."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -32,6 +35,8 @@ def is_prime(n: int) -> bool:
 
 
 def require_odd_prime(p: int) -> int:
+    if isinstance(p, int) and p >= _MR_LIMIT:
+        raise ValueError(f"primality is proven only below {_MR_LIMIT}, got {p}")
     if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
     return p

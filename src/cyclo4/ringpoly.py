@@ -1,11 +1,12 @@
-"""Exact arithmetic in Z4 and dense polynomials over commutative rings.
+"""Dense polynomials over commutative rings of characteristic 4.
 
-Coefficients live in a small ring object that knows its ``zero``, its
-``one`` and how to ``embed`` a Python int; the elements themselves carry
-the arithmetic through operators, plus ``is_unit`` and ``inverse`` for
-the division routine. Both :data:`Z4` and the characteristic-4 extension
-rings of :mod:`cyclo4.galois` satisfy this contract, so a single
-polynomial implementation serves the pair.
+Coefficients live in a ring object that knows its ``zero``, its ``one``,
+its extension degree ``r`` and how to ``embed`` a Python int; the
+elements themselves carry the arithmetic through operators, plus
+``is_unit`` and ``inverse`` for the division routine and ``value`` for
+the int of an embedded constant. The Galois rings of
+:mod:`cyclo4.galois` satisfy this contract, Z4 among them as GR(4, 4),
+so one polynomial implementation serves Z4[X] and GR(4**r, 4)[X].
 
 Polynomials are dense coefficient tuples, index ``i`` holding the
 coefficient of ``X**i``, normalized so the top stored coefficient is
@@ -51,95 +52,6 @@ class _NegInf:
 
 
 NEG_INF = _NegInf()
-
-
-class Residue4:
-    """An element of Z4, the residue class ring modulo 4.
-
-    The units are exactly 1 and 3 (each its own inverse); 2 is the unique
-    nonzero zero divisor and squares to 0.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", int(value) % 4)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Residue4 is immutable")
-
-    @property
-    def ring(self) -> "_Z4Ring":
-        return Z4
-
-    def is_unit(self) -> bool:
-        return self.value % 2 == 1
-
-    def inverse(self) -> "Residue4":
-        if not self.is_unit():
-            raise ZeroDivisionError(f"{self.value} is not a unit in Z4")
-        return self  # 1*1 = 3*3 = 1
-
-    def __add__(self, other):
-        if not isinstance(other, Residue4):
-            return NotImplemented
-        return Residue4(self.value + other.value)
-
-    def __sub__(self, other):
-        if not isinstance(other, Residue4):
-            return NotImplemented
-        return Residue4(self.value - other.value)
-
-    def __neg__(self):
-        return Residue4(-self.value)
-
-    def __mul__(self, other):
-        if not isinstance(other, Residue4):
-            return NotImplemented
-        return Residue4(self.value * other.value)
-
-    def __pow__(self, n: int):
-        return Residue4(pow(self.value, n, 4))
-
-    def __eq__(self, other):
-        return isinstance(other, Residue4) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("Z4", self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"Residue4({self.value})"
-
-
-class _Z4Ring:
-    """Coefficient-ring facade for Z4 (a singleton, see :data:`Z4`)."""
-
-    __slots__ = ("zero", "one")
-
-    def __init__(self):
-        self.zero = Residue4(0)
-        self.one = Residue4(1)
-
-    def embed(self, n: int) -> Residue4:
-        return Residue4(n)
-
-    def elements(self):
-        return tuple(Residue4(v) for v in range(4))
-
-    def __repr__(self):
-        return "Z4"
-
-
-Z4 = _Z4Ring()
 
 
 class RingPolynomial:
@@ -283,13 +195,13 @@ class RingPolynomial:
     def evaluate(self, point):
         """Horner evaluation at a point of any characteristic-4 ring.
 
-        Z4 coefficients embed canonically (as constants) when the point
-        lives in an extension ring.
+        Coefficients of an r = 1 ring (Z4) embed canonically, as
+        constants, when the point lives in another ring.
         """
         ring = point.ring
         if ring == self.ring:
             lift = lambda c: c
-        elif self.ring is Z4:
+        elif self.ring.r == 1:
             lift = lambda c: ring.embed(c.value)
         else:
             raise TypeError("cannot evaluate: incompatible coefficient ring")

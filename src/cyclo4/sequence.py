@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomy import ClassLabel, GeneralizedCyclotomy, build_classes
+from .galois import Z4
 from .primes import require_odd_prime
-from .ringpoly import RingPolynomial, Z4
+from .ringpoly import RingPolynomial
 
 _VALUE_BY_CLASS = {
     ClassLabel.ZERO: 0,

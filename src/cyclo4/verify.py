@@ -18,10 +18,10 @@ import enum
 from dataclasses import dataclass
 
 from .cyclotomy import GeneralizedCyclotomy, build_classes
-from .galois import GaloisRing, GaloisRingElement, construct_ring, find_gamma, powers_of
+from .galois import Z4, GaloisRing, GaloisRingElement, construct_ring, find_gamma, powers_of
 from .lfsr import reeds_sloane, theorem_lc
 from .primes import require_odd_prime
-from .ringpoly import RingPolynomial, Z4
+from .ringpoly import RingPolynomial
 from .sequence import generate_sequence
 
 DEFAULT_EXPANSION_CAP = 61

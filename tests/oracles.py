@@ -7,10 +7,11 @@ order. The Galois-ring oracles work on plain coordinate tuples (constant
 term first) of Z4[X]/(f): a schoolbook product with top-down reduction
 by the monic f, the pairwise unit-difference scan over a power table, and
 the sequence values S(gamma**v) summed one term at a time. Over GF(2)
-(bitmask polynomials) there is a coefficient-by-coefficient product, and
-an incremental column echelon that finds the minimal connection
-polynomial by a route independent of the library's module reduction, with
-a plain cyclic annihilation test. Everything here is deliberately naive
+(bitmask polynomials) there is a coefficient-by-coefficient product,
+irreducibility by exhaustive trial division, and an incremental column
+echelon that finds the minimal connection polynomial by a route
+independent of the library's module reduction, with a plain cyclic
+annihilation test. Everything here is deliberately naive
 and separate from the library's own code paths.
 """
 
@@ -163,6 +164,13 @@ def gf2_divmod(a: int, b: int) -> tuple[int, int]:
         q |= 1 << shift
         a ^= b << shift
     return q, a
+
+
+def gf2_is_irreducible(h: int) -> bool:
+    """Irreducibility by trial division by every polynomial of degree 1
+    to deg h // 2."""
+    r = h.bit_length() - 1
+    return r >= 1 and all(gf2_divmod(h, d)[1] for d in range(2, 1 << (r // 2 + 1)))
 
 
 def gf2_gcd(a: int, b: int) -> int:

@@ -11,9 +11,10 @@ import time
 
 import pytest
 
+from cyclo4.galois import Z4
 from cyclo4.lfsr import brute_force_minimal, reeds_sloane, theorem_lc, verify_connection
 from cyclo4.primes import odd_primes
-from cyclo4.ringpoly import RingPolynomial, Z4
+from cyclo4.ringpoly import RingPolynomial
 from cyclo4.sequence import generate_sequence
 from cyclo4.verify import CheckStatus, full_report
 

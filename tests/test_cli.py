@@ -63,6 +63,12 @@ class TestLc:
         code, out, _ = run(capsys, "lc", "--p", "31", "--method", "reeds-sloane")
         assert code == 0 and "lc = 31" in out
 
+    def test_rejects_p_beyond_proven_primality(self, capsys):
+        # 2**89 - 1 is prime, but the Miller-Rabin bases prove primality
+        # only below about 3.3 * 10**24
+        code, _, err = run(capsys, "lc", "--p", str(2**89 - 1), "--method", "theorem")
+        assert code == 1 and "proven only below" in err
+
     def test_brute_refuses_large_p(self, capsys):
         code, _, err = run(capsys, "lc", "--p", "11", "--method", "brute")
         assert code == 1 and "--force" in err

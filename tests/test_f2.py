@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -32,16 +33,13 @@ def test_rabin_agrees_beyond_trial_division_threshold():
 def test_table_matches_fresh_ordered_search():
     # Re-derive the canonical entries from scratch for small degrees.
     for r in range(1, 19):
-        if r == 1:
-            assert f2.lex_smallest_irreducible(1) == 2
-            continue
-        found = None
-        for low in range(1 << r):
-            h = (1 << r) | low
-            if f2.is_irreducible(h):
-                found = h
-                break
+        found = next(h for h in range(1 << r, 1 << (r + 1)) if oracles.gf2_is_irreducible(h))
         assert f2.lex_smallest_irreducible(r) == found
+
+
+def test_rabin_matches_trial_division_through_degree_11():
+    for h in range(1 << 12):
+        assert f2.is_irreducible(h) == oracles.gf2_is_irreducible(h), bin(h)
 
 
 def test_table_entries_have_right_degree_and_are_irreducible():
@@ -101,3 +99,23 @@ def test_exact_div(a, b):
 def test_division_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         f2.quo_rem(0b101, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: f2.mod(5, 0), lambda: f2.mulmod(3, 5, 0), lambda: f2.inverse_mod(3, 0)],
+    ids=["mod", "mulmod", "inverse_mod"],
+)
+def test_zero_modulus_rejected(call):
+    # a zero modulus once looped forever; the alarm turns a hang into a failure
+    def expire(signum, frame):
+        raise TimeoutError("no answer within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ZeroDivisionError):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

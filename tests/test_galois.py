@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cyclo4.galois import (
+    Z4,
     GaloisRing,
     construct_ring,
     find_gamma,
@@ -12,7 +13,7 @@ from cyclo4.galois import (
     powers_of,
 )
 from cyclo4.primes import odd_primes
-from cyclo4.ringpoly import RingPolynomial, Z4
+from cyclo4.ringpoly import RingPolynomial
 
 
 def zp(*ints):

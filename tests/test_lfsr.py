@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cyclo4
+from cyclo4.galois import Z4
 from cyclo4.lfsr import (
     LfsrResult,
     ResidueClass,
@@ -21,7 +22,7 @@ from cyclo4.lfsr import (
     _u_pivot_row,
 )
 from cyclo4.primes import odd_primes
-from cyclo4.ringpoly import RingPolynomial, Z4
+from cyclo4.ringpoly import RingPolynomial
 from cyclo4.sequence import generate_sequence, generating_polynomial
 
 import oracles
@@ -246,6 +247,15 @@ class TestReedsSloane:
             lc, coeffs = minimal_connection(values)
             assert lc == cyclic_min_degree(values)
             assert verify_connection(values, zp(*coeffs))
+
+    def test_any_iterable_reads_as_the_same_period(self):
+        # a generator is consumed by its first pass, so the period is read once
+        values = generate_sequence(31).values
+        want = reeds_sloane(values)
+        assert reeds_sloane(iter(values)) == want
+        assert reeds_sloane(bytes(values)) == want
+        # bytes are reduced mod 4 too; unreduced ones would overflow the packed slots
+        assert reeds_sloane(bytes([252, 255, 254])) == reeds_sloane([0, 3, 2])
 
     def test_rejects_empty_period(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from cyclo4 import f2
-from cyclo4.galois import GaloisRing, construct_ring, find_gamma, powers_of
-from cyclo4.ringpoly import RingPolynomial, Z4
+from cyclo4.galois import Z4, GaloisRing, construct_ring, find_gamma, powers_of
+from cyclo4.ringpoly import RingPolynomial
 from cyclo4.verify import CheckStatus, _Workspace, check_gamma
 
 

@@ -2,37 +2,47 @@ import random
 
 import pytest
 
-from cyclo4.ringpoly import NEG_INF, NonUnitDivisorError, Residue4, RingPolynomial, Z4
+from cyclo4.galois import Z4, GaloisRing
+from cyclo4.ringpoly import NEG_INF, NonUnitDivisorError, RingPolynomial
 
 
 def zp(*ints):
     return RingPolynomial.from_ints(Z4, ints)
 
 
-class TestResidue4:
+class TestZ4:
+    def test_is_the_galois_ring_of_modulus_x(self):
+        assert isinstance(Z4, GaloisRing) and Z4.r == 1
+        assert [c.value for c in Z4.modulus.coeffs] == [0, 1]
+        assert Z4.x == Z4.zero
+
     def test_reduction(self):
-        assert Residue4(7).value == 3
-        assert Residue4(-1).value == 3
+        assert Z4.embed(7).value == 3
+        assert Z4.embed(-1).value == 3
 
     def test_units_are_one_and_three(self):
-        assert [v for v in range(4) if Residue4(v).is_unit()] == [1, 3]
+        assert [v for v in range(4) if Z4.embed(v).is_unit()] == [1, 3]
 
     def test_units_are_self_inverse(self):
         for v in (1, 3):
-            assert Residue4(v) * Residue4(v).inverse() == Z4.one
+            assert Z4.embed(v).inverse() == Z4.embed(v)
+            assert Z4.embed(v) * Z4.embed(v).inverse() == Z4.one
 
     def test_two_is_the_nonzero_zero_divisor(self):
-        assert Residue4(2) * Residue4(2) == Z4.zero
-        assert Residue4(2) != Z4.zero
+        assert Z4.embed(2) * Z4.embed(2) == Z4.zero
+        assert Z4.embed(2) != Z4.zero
 
     def test_non_unit_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
-            Residue4(2).inverse()
+            Z4.embed(2).inverse()
 
     def test_immutably_hashable(self):
-        assert len({Residue4(1), Residue4(5)}) == 1
+        assert len({Z4.embed(1), Z4.embed(5)}) == 1
         with pytest.raises(AttributeError):
-            Residue4(1).value = 2
+            Z4.embed(1).value = 2
+
+    def test_text_is_the_digit(self):
+        assert [str(Z4.embed(v)) for v in range(4)] == ["0", "1", "2", "3"]
 
 
 class TestAddition:

@@ -3,9 +3,9 @@ from collections import Counter
 import pytest
 
 from cyclo4.cyclotomy import build_classes
-from cyclo4.galois import construct_ring, find_gamma, powers_of
+from cyclo4.galois import Z4, construct_ring, find_gamma, powers_of
 from cyclo4.primes import odd_primes
-from cyclo4.ringpoly import RingPolynomial, Z4
+from cyclo4.ringpoly import RingPolynomial
 from cyclo4.sequence import (
     QuaternarySequence,
     class_sum_polynomials,

@@ -1,10 +1,10 @@
 import pytest
 
 from cyclo4.cyclotomy import build_classes
-from cyclo4.galois import construct_ring, find_gamma, powers_of
+from cyclo4.galois import Z4, construct_ring, find_gamma, powers_of
 from cyclo4.lfsr import theorem_lc
 from cyclo4.primes import odd_primes
-from cyclo4.ringpoly import NonUnitDivisorError, RingPolynomial, Z4
+from cyclo4.ringpoly import NonUnitDivisorError, RingPolynomial
 from cyclo4.sequence import generating_polynomial
 from cyclo4.verify import (
     DEFAULT_EXPANSION_CAP,
