@@ -290,11 +290,10 @@ def reeds_sloane(s) -> LfsrResult:
     """
     values = _period_values(s)
     lc, coeffs = minimal_connection(values)
-    connection = RingPolynomial.from_ints(Z4, coeffs)
-    result = LfsrResult(lc=lc, connection=connection)
-    if not verify_connection(values, connection):
+    # verify_connection's test, without a round trip through Z4 elements
+    if _cyclic_product(values, bytes(coeffs), len(values)) != bytes(len(values)):
         raise RuntimeError("internal: synthesized connection does not annihilate")
-    return result
+    return LfsrResult(lc=lc, connection=RingPolynomial.from_ints(Z4, coeffs))
 
 
 def brute_force_minimal(s, degree_cap: int | None = None) -> LfsrResult:

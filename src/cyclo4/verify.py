@@ -445,11 +445,11 @@ def full_report(
     p: int, expansion_cap: int | None = None, only: set[str] | None = None
 ) -> LemmaReport:
     """Run every applicable check for p (or the ``only`` subset) and aggregate."""
-    ws = _Workspace(p)
     wanted = set(_CHECK_ORDER) if only is None else only
     unknown = wanted - set(_CHECK_ORDER)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    ws = _Workspace(p)
     pair = (
         check_factorizations(ws, expansion_cap)
         if wanted & {"factorization", "lemma9"}

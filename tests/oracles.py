@@ -8,14 +8,18 @@ term first) of Z4[X]/(f): a schoolbook product with top-down reduction
 by the monic f, the pairwise unit-difference scan over a power table, and
 the sequence values S(gamma**v) summed one term at a time. Over GF(2)
 (bitmask polynomials) there is a coefficient-by-coefficient product,
-irreducibility by exhaustive trial division, and an incremental column
-echelon that finds the minimal connection polynomial by a route
-independent of the library's module reduction, with a plain cyclic
-annihilation test. Everything here is deliberately naive
-and separate from the library's own code paths.
+irreducibility by exhaustive trial division and by the Rabin test, and
+an incremental column echelon that finds the minimal connection
+polynomial by a route independent of the library's module reduction,
+with a plain cyclic annihilation test. Everything here is deliberately
+naive and separate from the library's own code paths; the one exception
+is the Rabin test, which squares with the library's tested bitmask
+product and remainder.
 """
 
 from __future__ import annotations
+
+from cyclo4 import f2
 
 
 def z4_solvable(rows: list[list[int]], rhs: list[int]) -> bool:
@@ -177,6 +181,28 @@ def gf2_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, gf2_divmod(a, b)[1]
     return a
+
+
+def gf2_is_irreducible_rabin(h: int) -> bool:
+    """Irreducibility by the Rabin test: X**(2**r) = X mod h, and
+    gcd(X**(2**(r/q)) - X, h) = 1 for each prime q dividing r = deg h.
+    Exact for every degree; squares with the library's bitmask ``mulmod``
+    and ``gcd``, which are tested against the schoolbook forms above."""
+    r = f2.degree(h)
+    if r <= 0:
+        return False
+    if r == 1:
+        return True
+    if h & 1 == 0:
+        return False
+    x = t = 2
+    primes = [q for q in range(2, r + 1) if r % q == 0 and all(q % d for d in range(2, q))]
+    checkpoints = {r // q for q in primes}
+    for i in range(1, r + 1):
+        t = f2.mulmod(t, t, h)
+        if i in checkpoints and f2.gcd(t ^ x, h) != 1:
+            return False
+    return t == x
 
 
 def annihilates(values: list[int], coeffs: list[int]) -> bool:

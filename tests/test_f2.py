@@ -22,7 +22,7 @@ def test_known_small_irreducibles():
     assert not f2.is_irreducible(1)          # constants are units
 
 
-def test_rabin_agrees_beyond_trial_division_threshold():
+def test_irreducible_trinomial_and_its_products():
     # X^17 + X^3 + 1 is a classic irreducible trinomial; its square is not.
     h = (1 << 17) | (1 << 3) | 1
     assert f2.is_irreducible(h)
@@ -30,30 +30,67 @@ def test_rabin_agrees_beyond_trial_division_threshold():
     assert not f2.is_irreducible(f2.mul(h, 0b111))
 
 
+# The canonical modulus of each degree r: X^r + LEX_SMALLEST_LOW[r]. The
+# degrees are those of ord_2 p for the primes p below 500, plus 65 (no
+# such prime) and 1018 (p = 1019).
+LEX_SMALLEST_LOW = {
+    1: 0x0, 2: 0x3, 3: 0x3, 4: 0x3, 5: 0x5, 6: 0x3, 7: 0x3, 8: 0x1b, 9: 0x3, 10: 0x9,
+    11: 0x5, 12: 0x9, 13: 0x1b, 14: 0x21, 15: 0x3, 16: 0x2b, 17: 0x9, 18: 0x9,
+    19: 0x27, 20: 0x9, 21: 0x5, 22: 0x3, 23: 0x21, 24: 0x1b, 25: 0x9, 26: 0x1b,
+    27: 0x27, 28: 0x3, 29: 0x5, 30: 0x3, 31: 0x9, 32: 0x8d, 33: 0x4b, 34: 0x1b,
+    35: 0x5, 36: 0x35, 37: 0x3f, 38: 0x63, 39: 0x11, 40: 0x39, 41: 0x9, 42: 0x27,
+    43: 0x59, 44: 0x21, 45: 0x1b, 46: 0x3, 47: 0x21, 48: 0x2d, 49: 0x71, 50: 0x1d,
+    51: 0x4b, 52: 0x9, 53: 0x47, 54: 0x7d, 55: 0x47, 56: 0x95, 57: 0x11, 58: 0x63,
+    59: 0x7b, 60: 0x3, 61: 0x27, 62: 0x69, 63: 0x3, 64: 0x1b, 65: 0x1b, 66: 0x9,
+    68: 0xa3, 70: 0x2b, 72: 0x5f, 73: 0x1d, 76: 0x35, 82: 0xd7, 83: 0x95, 88: 0x3f,
+    92: 0x65, 94: 0x63, 95: 0x77, 96: 0x6f, 99: 0x4b, 100: 0x65, 102: 0x69, 106: 0x63,
+    119: 0x101, 130: 0x9, 131: 0xf3, 135: 0x59, 138: 0x16d, 148: 0xa9, 155: 0xb1,
+    156: 0x69, 162: 0xe7, 166: 0x63, 172: 0x3, 178: 0x185, 179: 0x17, 180: 0x9,
+    183: 0x191, 191: 0xbb, 196: 0x9, 200: 0x2d, 204: 0x35, 210: 0x81, 224: 0x1b5,
+    226: 0xf5, 231: 0x95, 239: 0x3f, 243: 0x123, 268: 0x387, 292: 0x8b, 316: 0x16b,
+    346: 0xe7, 348: 0x191, 372: 0x16d, 378: 0x251, 388: 0x99, 418: 0x77, 420: 0x81,
+    442: 0xa5, 460: 0x223, 466: 0x3c9, 490: 0x2a1, 1018: 0x6f5,
+}
+
+
 def test_table_matches_fresh_ordered_search():
-    # Re-derive the canonical entries from scratch for small degrees.
-    for r in range(1, 19):
-        found = next(h for h in range(1 << r, 1 << (r + 1)) if oracles.gf2_is_irreducible(h))
-        assert f2.lex_smallest_irreducible(r) == found
+    f2.lex_smallest_irreducible.cache_clear()
+    try:
+        for r, low in LEX_SMALLEST_LOW.items():
+            want = (1 << r) | low
+            assert f2.degree(want) == r
+            assert f2.lex_smallest_irreducible(r) == want, r
+            if r <= 18:
+                # the first irreducible of degree r by exhaustive trial division
+                candidates = range(1 << r, 2 << r)
+                assert next(h for h in candidates if oracles.gf2_is_irreducible(h)) == want, r
+            if r <= 65:
+                assert oracles.gf2_is_irreducible_rabin(want), r
+    finally:
+        f2.lex_smallest_irreducible.cache_clear()
 
 
-def test_rabin_matches_trial_division_through_degree_11():
+def test_is_irreducible_matches_trial_division_through_degree_11():
     for h in range(1 << 12):
         assert f2.is_irreducible(h) == oracles.gf2_is_irreducible(h), bin(h)
 
 
-def test_table_entries_have_right_degree_and_are_irreducible():
-    for r, h in f2._LEX_SMALLEST.items():
-        assert f2.degree(h) == r
-        if r <= 64:
-            assert f2.is_irreducible(h)
+@settings(max_examples=500, deadline=None)
+@given(_POLYS)
+def test_is_irreducible_matches_rabin_oracle(h):
+    assert f2.is_irreducible(h) == oracles.gf2_is_irreducible_rabin(h)
 
 
-def test_search_fallback_off_table():
-    # degree 65 is not in the table; the ordered search must produce it
-    h = f2.lex_smallest_irreducible(65)
-    assert f2.degree(h) == 65
-    assert f2.is_irreducible(h)
+def test_products_of_two_irreducibles_of_equal_degree_rejected():
+    # h times its reciprocal (which is h itself for X^2 + X + 1, the only
+    # irreducible of degree 2) has no factor below degree k, so Ben-Or's
+    # test rejects it only at its last step, i = k.
+    for k in range(2, 41):
+        h = f2.lex_smallest_irreducible(k)
+        reciprocal = int(bin(h)[:1:-1], 2)
+        for product in (f2.mul(h, h), f2.mul(h, reciprocal)):
+            assert not f2.is_irreducible(product), (k, bin(product))
+            assert not oracles.gf2_is_irreducible_rabin(product), k
 
 
 def test_inverse_mod_round_trips():

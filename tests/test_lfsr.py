@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cyclo4
+from cyclo4 import lfsr
 from cyclo4.galois import Z4
 from cyclo4.lfsr import (
     LfsrResult,
@@ -260,6 +261,12 @@ class TestReedsSloane:
     def test_rejects_empty_period(self):
         with pytest.raises(ValueError):
             reeds_sloane([])
+
+    def test_rejects_a_synthesis_that_does_not_annihilate(self, monkeypatch):
+        # 1 + X is monic with unit constant term but does not kill the p = 7 period
+        monkeypatch.setattr(lfsr, "minimal_connection", lambda values: (1, [1, 1]))
+        with pytest.raises(RuntimeError, match="does not annihilate"):
+            reeds_sloane(generate_sequence(7))
 
 
 class TestBruteForce:

@@ -152,7 +152,7 @@ def test_construct_ring_tests_the_modulus_once(monkeypatch):
 
     monkeypatch.setattr(f2, "is_irreducible", counting)
     try:
-        for p in (293, 719):  # irreducible table hit, then a miss
+        for p in (293, 719):
             construct_ring.cache_clear()
             f2.lex_smallest_irreducible.cache_clear()
             calls.clear()

@@ -1,5 +1,6 @@
 import pytest
 
+from cyclo4 import verify
 from cyclo4.cyclotomy import build_classes
 from cyclo4.galois import Z4, construct_ring, find_gamma, powers_of
 from cyclo4.lfsr import theorem_lc
@@ -163,6 +164,14 @@ class TestFullReport:
         with pytest.raises(ValueError):
             full_report(7, only={"nonsense"})
 
+    def test_rejects_unknown_filter_before_building_the_ring(self, monkeypatch):
+        def no_workspace(p):
+            raise AssertionError("the workspace was built")
+
+        monkeypatch.setattr(verify, "_Workspace", no_workspace)
+        with pytest.raises(ValueError, match="unknown checks"):
+            full_report(7, only={"bogus"})
+
     def test_filtered_report(self):
         report = full_report(7, only={"lemma6", "lemma7"})
         assert [c.check_id for c in report.checks] == ["lemma6", "lemma7"]
@@ -193,3 +202,15 @@ def test_full_report_every_prime_below_500():
                 assert check.status is CheckStatus.PASS, (p, check.render())
         theorem = next(c for c in report.checks if c.check_id == "theorem")
         assert theorem.detail == f"lc = {theorem_lc(p)} = closed form"
+
+
+@pytest.mark.slow
+def test_full_report_at_the_frontier_p_1019():
+    # r = 1018: the ordered irreducible search finds X^1018 + 0x6f5
+    report = full_report(1019)
+    assert [c.check_id for c in report.checks] == list(verify._CHECK_ORDER)
+    for check in report.checks:
+        # factorization and lemma9 are past the expansion cap
+        skipped = check.check_id in ("factorization", "lemma9")
+        want = CheckStatus.SKIP if skipped else CheckStatus.PASS
+        assert check.status is want, check.render()
