@@ -58,7 +58,6 @@ def test_table_matches_fresh_ordered_search():
     try:
         for r, low in LEX_SMALLEST_LOW.items():
             want = (1 << r) | low
-            assert f2.degree(want) == r
             assert f2.lex_smallest_irreducible(r) == want, r
             if r <= 18:
                 # the first irreducible of degree r by exhaustive trial division
@@ -66,6 +65,25 @@ def test_table_matches_fresh_ordered_search():
                 assert next(h for h in candidates if oracles.gf2_is_irreducible(h)) == want, r
             if r <= 65:
                 assert oracles.gf2_is_irreducible_rabin(want), r
+    finally:
+        f2.lex_smallest_irreducible.cache_clear()
+
+
+def test_table_entries_have_right_degree_and_are_irreducible():
+    for r, low in LEX_SMALLEST_LOW.items():
+        h = (1 << r) | low
+        assert f2.degree(h) == r
+        assert f2.is_irreducible(h), r
+
+
+def test_search_fallback_off_table():
+    # degree 65 is the order of 2 modulo no prime; the ordered search must
+    # still produce an irreducible of that degree
+    f2.lex_smallest_irreducible.cache_clear()
+    try:
+        h = f2.lex_smallest_irreducible(65)
+        assert f2.degree(h) == 65
+        assert f2.is_irreducible(h)
     finally:
         f2.lex_smallest_irreducible.cache_clear()
 
