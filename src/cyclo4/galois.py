@@ -315,8 +315,12 @@ def construct_ring(p: int) -> GaloisRing:
     r = ord2_mod_p(p)
     # lex_smallest_irreducible has tested h once; the lift and the ring trust it
     ring = GaloisRing._of_irreducible(f2.lex_smallest_irreducible(r))
-    # Teichmüller check on the lift: the class of X has order dividing 2**r - 1.
-    if ring.x ** ((1 << r) - 1) != ring.one:
+    # Teichmüller check on the lift: the class of X has order dividing
+    # 2**r - 1, that is X**(2**r) = X for the unit X, by r squarings.
+    t = ring.x
+    for _ in range(r):
+        t = t * t
+    if t != ring.x:
         raise RuntimeError("internal: modulus is not a Graeffe lift")
     return ring
 
@@ -351,27 +355,36 @@ def find_gamma(ring: GaloisRing, p: int) -> tuple[GaloisRingElement, GaloisRingE
     skipped) are raised to the power |unit group| / p; the first result
     distinct from 1 has order p since p is prime. Determinism of the scan
     keeps every derived table reproducible.
+
+    When X is Teichmüller (X**(2**r) = X, as for every ring
+    :func:`construct_ring` builds), X**((2**r - 1)/p) is the first
+    candidate's power with r fewer squarings; it is taken when it has
+    order p, and the scan runs otherwise.
     """
     require_odd_prime(p)
     r = ring.r
     if ((1 << r) - 1) % p != 0:
         raise ValueError(f"p={p} does not divide 2**{r} - 1; wrong ring for this p")
     exponent = ring.unit_group_order // p
-    beta = None
-    k = 4  # coords of X in the base-4 counter
-    while k < 1 << (2 * r):
-        coords = []
-        t = k
-        while t:
-            coords.append(t % 4)
-            t //= 4
-        if any(c % 2 for c in coords):
-            cand = ring.element(coords)
-            b = cand ** exponent
-            if b != ring.one:
-                beta = b
-                break
-        k += 1
+    # (X**m)**p = X**(2**r - 1) with m = (2**r - 1)/p, which is 1 exactly
+    # when X is Teichmüller, and then X**m = X**(2**r * m)
+    beta = ring.x ** (exponent >> r)
+    if beta == ring.one or beta ** p != ring.one:
+        beta = None
+        k = 4  # coords of X in the base-4 counter
+        while k < 1 << (2 * r):
+            coords = []
+            t = k
+            while t:
+                coords.append(t % 4)
+                t //= 4
+            if any(c % 2 for c in coords):
+                cand = ring.element(coords)
+                b = cand ** exponent
+                if b != ring.one:
+                    beta = b
+                    break
+            k += 1
     if beta is None:
         raise RuntimeError("internal: no unit of order p found; ring is inconsistent")
     if beta ** p != ring.one:

@@ -15,6 +15,7 @@ can render one line per check and reflect failures in its exit status.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .cyclotomy import GeneralizedCyclotomy, build_classes
@@ -120,16 +121,15 @@ class _Workspace:
         self.powers = powers_of(self.gamma, 2 * p)
         self.seq = generate_sequence(p, self.classes)
 
-    def sequence_values_at_powers(self) -> list[GaloisRingElement]:
-        """S(gamma**v) for v = 0..2p-1, via the cached power table."""
+    def sequence_value(self, v: int) -> GaloisRingElement:
+        """S(gamma**v) = sum over u of s_u * gamma**(u*v), via the cached power table."""
         n = 2 * self.p
-        ring, powers = self.ring, self.powers
-        support = [[u for u, s in enumerate(self.seq.values) if s == k] for k in (1, 2, 3)]
-        out = []
-        for v in range(n):
-            s1, s2, s3 = (ring.sum([powers[u * v % n] for u in us]) for us in support)
-            out.append(s1 + s2 + s2 - s3)  # s1 + 2*s2 + 3*s3, as 3 = -1
-        return out
+        ring, powers, values = self.ring, self.powers, self.seq.values
+        s1, s2, s3 = (
+            ring.sum([powers[u * v % n] for u, s in enumerate(values) if s == k])
+            for k in (1, 2, 3)
+        )
+        return s1 + s2 + s2 - s3  # s1 + 2*s2 + 3*s3, as 3 = -1
 
 
 def check_gamma(ws: _Workspace) -> CheckResult:
@@ -161,29 +161,44 @@ def check_gamma(ws: _Workspace) -> CheckResult:
 
 
 def check_lemma3(classes: GeneralizedCyclotomy) -> CheckResult:
-    """Multiplicative and shift relations among D0, D1, E0, E1."""
-    p = classes.p
+    """Multiplicative and shift relations among D0, D1, E0, E1, in O(p).
+
+    (I) and (II) need no product sets. The walk t = g**k mod 2p for
+    k = 0..p-2 must give D0 at even k and D1 at odd k, as sets, and
+    g**(p-1) = 1 mod 2p. Then D_i is the set of g**k with k = i (mod 2),
+    and since exponents add mod the even number p - 1, v*D_j = D_(i+j)
+    for every v = g**a in D_i. With E_i = 2*D_i and 2*E_i = E_(i+eps),
+    where eps = 0 for p = +-1 (mod 8) and 1 otherwise, the rest follows:
+    v*E_j = 2*(v*D_j) = E_(i+j) for v in D_i, and for v = 2w in E_i
+    (w in D_i) v*D_j = 2*(w*D_j) = E_(i+j) and
+    v*E_j = 2*(2*(w*D_j)) = 2*E_(i+j) = E_(i+j+eps).
+    Set equality matters: a walk of a non-primitive g covers only part
+    of each class, so membership of its values would pass corrupted
+    classes.
+    """
+    p, g = classes.p, classes.g
     n = 2 * p
     pm1 = p % 8 in (1, 7)
     problems = []
 
-    def mul_set(v, block):
-        return frozenset(v * u % n for u in block)
-
+    walk = []
+    t = 1
+    for _ in range(p - 1):
+        walk.append(t)
+        t = t * g % n
     for i in (0, 1):
-        for v in sorted(classes.d_class(i)):
-            for j in (0, 1):
-                if mul_set(v, classes.d_class(j)) != classes.d_class(i + j):
-                    problems.append(f"(I) {v}*D{j} != D{(i + j) % 2}")
-                if mul_set(v, classes.e_class(j)) != classes.e_class(i + j):
-                    problems.append(f"(I) {v}*E{j} != E{(i + j) % 2}")
-        for v in sorted(classes.e_class(i)):
-            for j in (0, 1):
-                if mul_set(v, classes.d_class(j)) != classes.e_class(i + j):
-                    problems.append(f"(II) {v}*D{j} != E{(i + j) % 2}")
-                expect = i + j if pm1 else i + j + 1
-                if mul_set(v, classes.e_class(j)) != classes.e_class(expect):
-                    problems.append(f"(II) {v}*E{j} != E{expect % 2}")
+        if frozenset(walk[i::2]) != classes.d_class(i):
+            parity = ("even", "odd")[i]
+            problems.append(f"(I) {parity} powers of g = {g} != D{i}")
+    if t != 1:
+        problems.append(f"(I) g^(p-1) != 1 for g = {g}")
+    for i in (0, 1):
+        if frozenset(2 * u % n for u in classes.d_class(i)) != classes.e_class(i):
+            problems.append(f"(II) 2*D{i} != E{i}")
+        expect = i if pm1 else i + 1
+        if frozenset(2 * u % n for u in classes.e_class(i)) != classes.e_class(expect):
+            problems.append(f"(II) 2*E{i} != E{expect % 2}")
+    for i in (0, 1):
         shift_e = frozenset((v + p) % n for v in classes.e_class(i))
         if shift_e != classes.d_class(i if pm1 else i + 1):
             problems.append(f"(III) E{i}+p mismatch")
@@ -260,47 +275,63 @@ def check_lemma7(ws: _Workspace) -> CheckResult:
 
 
 def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
-    """Value table of S(gamma**v) over the whole of Z_2p."""
+    """Value table of S(gamma**v) over the whole of Z_2p, in O(p).
+
+    g is a unit mod 2p, so u -> g**2 * u permutes Z_2p, and the period
+    satisfies s_(g^2 u) = s_u. Substituting w = g**2 * u gives
+    S(gamma**(g^2 v)) = sum_u s_u gamma**(g^2 u v) = sum_w s_w gamma**(w v)
+    = S(gamma**v). Each class is the <g**2>-orbit of its least element,
+    so S is constant on it, and one value per class, at that least
+    element (where the full scan would first fail), decides the table.
+    """
     ring, p, classes = ws.ring, ws.p, ws.classes
-    values = ws.sequence_values_at_powers()
+    n = 2 * p
     s0 = ws.normalized.s0
     problems = []
-    if values[0] != ring.embed((p + 1) % 4):
-        problems.append(f"S(1) = {values[0]}, want {(p + 1) % 4}")
-    if values[p] != ring.embed(2):
-        problems.append(f"S(gamma^p) = {values[p]}, want 2")
-    two_s0 = s0 + s0
+    value = ws.sequence_value(0)
+    if value != ring.embed((p + 1) % 4):
+        problems.append(f"S(1) = {value}, want {(p + 1) % 4}")
+    value = ws.sequence_value(p)
+    if value != ring.embed(2):
+        problems.append(f"S(gamma^p) = {value}, want 2")
+    g2 = classes.g * classes.g % n
+    seq = ws.seq.values
+    blocks = (("D0", classes.d0), ("D1", classes.d1), ("E0", classes.e0), ("E1", classes.e1))
+    if math.gcd(g2, n) != 1:
+        problems.append(f"g^2 = {g2} is not a unit mod {n}")
+    bad = next((u for u in range(n) if seq[g2 * u % n] != seq[u]), None)
+    if bad is not None:
+        problems.append(f"s_(g^2 u) != s_u at u = {bad}")
+    for name, block in blocks:
+        orbit, t = [], min(block)
+        for _ in range(len(block)):
+            orbit.append(t)
+            t = t * g2 % n
+        if frozenset(orbit) != block:
+            problems.append(f"{name} is not the <g^2>-orbit of {min(block)}")
+    if problems:
+        # one value per class stands for the class only once the orbits hold
+        return CheckResult("lemma8", CheckStatus.FAIL, problems[0])
+    values = {name: ws.sequence_value(min(block)) for name, block in blocks}
     if p % 8 in (3, 5):
+        two_s0 = s0 + s0
         expect = {
             "D0": ring.one - two_s0,
             "D1": two_s0 - ring.one,
             "E0": ring.embed(3),
             "E1": ring.embed(3),
         }
-        for name, block in (
-            ("D0", classes.d0),
-            ("D1", classes.d1),
-            ("E0", classes.e0),
-            ("E1", classes.e1),
-        ):
-            for v in sorted(block):
-                if values[v] != expect[name]:
-                    problems.append(f"S(gamma^{v}) != expected on {name}")
-                    break
-                if not values[v].is_unit():
-                    problems.append(f"S(gamma^{v}) is not a unit on {name}")
-                    break
+        for name, block in blocks:
+            if values[name] != expect[name]:
+                problems.append(f"S(gamma^{min(block)}) != expected on {name}")
+            elif not values[name].is_unit():
+                problems.append(f"S(gamma^{min(block)}) is not a unit on {name}")
         detail_ok = "values match the p = +-3 (mod 8) table and are units"
     else:
-        for name, block in (("D0", classes.d0), ("D1", classes.d1), ("E0", classes.e0)):
-            for v in sorted(block):
-                if values[v] != ring.zero:
-                    problems.append(f"S(gamma^{v}) != 0 on {name}")
-                    break
-        for v in sorted(classes.e1):
-            if values[v] != ring.embed(2):
-                problems.append(f"S(gamma^{v}) != 2 on E1")
-                break
+        for name, block in blocks:
+            want = 2 if name == "E1" else 0
+            if values[name] != ring.embed(want):
+                problems.append(f"S(gamma^{min(block)}) != {want} on {name}")
         detail_ok = "values match the p = +-1 (mod 8) table (0 off E1, 2 on E1)"
     detail = problems[0] if problems else detail_ok
     return CheckResult("lemma8", CheckStatus.FAIL if problems else CheckStatus.PASS, detail)
@@ -387,7 +418,8 @@ def check_roots_guard(ws: _Workspace) -> CheckResult:
     problems = []
     two = ring.embed(2)
     for j in range(n):
-        value = two + two * ws.powers[j * p % n]
+        x = ws.powers[j * p % n]
+        value = two + x + x  # 2 + 2*x without a ring product
         if value != ring.zero:
             problems.append(f"witness does not vanish at gamma^{j}")
             break

@@ -12,9 +12,13 @@ irreducibility by exhaustive trial division and by the Rabin test, and
 an incremental column echelon that finds the minimal connection
 polynomial by a route independent of the library's module reduction,
 with a plain cyclic annihilation test. Everything here is deliberately
-naive and separate from the library's own code paths; the one exception
-is the Rabin test, which squares with the library's tested bitmask
-product and remainder.
+naive and separate from the library's own code paths. The exceptions
+compute with the library's tested arithmetic and are naive in what they
+do with it: the Rabin test squares with the bitmask product and
+remainder; the scan for an element of order p powers every unit
+candidate in turn, without assuming X is Teichmüller; and Lemmas 3 and
+4/8 are checked by brute force, O(p**2), from every product set of the
+classes and from S(gamma**v) compared with its table entry for every v.
 """
 
 from __future__ import annotations
@@ -297,3 +301,102 @@ def echelon_minimal_connection(values: list[int]) -> tuple[int, list[int]]:
         coeffs.pop()
     assert len(coeffs) - 1 == degree, "witness degree disagrees with the search"
     return degree, coeffs
+
+
+def scan_beta(ring, p: int):
+    """The first power u**(|unit group| / p) distinct from 1 over the units
+    u = X, X+1, X+2, ... in base-4 coordinate order: an element of order p,
+    found without assuming that X is Teichmüller."""
+    exponent = ring.unit_group_order // p
+    k = 4  # X
+    while True:
+        coords = [(k >> (2 * i)) & 3 for i in range(ring.r)]
+        if gr_is_unit(coords):
+            b = ring.element(coords) ** exponent
+            if b != ring.one:
+                return b
+        k += 1
+
+
+def lemma3_by_product_sets(classes) -> tuple[bool, str]:
+    """Lemma 3 by brute force, O(p**2): the product set v*B for every v in
+    every class and both targets B, then the shifts (III)-(V). Returns
+    (passed, detail) with the library's texts."""
+    p = classes.p
+    n = 2 * p
+    pm1 = p % 8 in (1, 7)
+    problems = []
+
+    def mul_set(v, block):
+        return frozenset(v * u % n for u in block)
+
+    for i in (0, 1):
+        for v in sorted(classes.d_class(i)):
+            for j in (0, 1):
+                if mul_set(v, classes.d_class(j)) != classes.d_class(i + j):
+                    problems.append(f"(I) {v}*D{j} != D{(i + j) % 2}")
+                if mul_set(v, classes.e_class(j)) != classes.e_class(i + j):
+                    problems.append(f"(I) {v}*E{j} != E{(i + j) % 2}")
+        for v in sorted(classes.e_class(i)):
+            for j in (0, 1):
+                if mul_set(v, classes.d_class(j)) != classes.e_class(i + j):
+                    problems.append(f"(II) {v}*D{j} != E{(i + j) % 2}")
+                expect = i + j if pm1 else i + j + 1
+                if mul_set(v, classes.e_class(j)) != classes.e_class(expect):
+                    problems.append(f"(II) {v}*E{j} != E{expect % 2}")
+        shift_e = frozenset((v + p) % n for v in classes.e_class(i))
+        if shift_e != classes.d_class(i if pm1 else i + 1):
+            problems.append(f"(III) E{i}+p mismatch")
+        shift_d = frozenset((v + p) % n for v in classes.d_class(i))
+        if shift_d != classes.e_class(i if pm1 else i + 1):
+            problems.append(f"(IV) D{i}+p mismatch")
+        if pm1:
+            folded = frozenset(u + p for u in classes.d_class(i) if u < p) | frozenset(
+                u - p for u in classes.d_class(i) if u > p
+            )
+            if folded != classes.e_class(i):
+                problems.append(f"(V) E{i} fold mismatch")
+    parts = "I-V" if pm1 else "I-IV (V not applicable)"
+    return not problems, problems[0] if problems else f"class relations {parts} hold"
+
+
+def lemma8_by_value_table(ws) -> tuple[bool, str]:
+    """Lemmas 4 and 8 by brute force, O(p**2): S(gamma**v) for all 2p
+    exponents v (``ws.sequence_value``), each compared with the table entry
+    of its class in increasing v. Returns (passed, detail) with the
+    library's texts."""
+    ring, p, classes = ws.ring, ws.p, ws.classes
+    values = [ws.sequence_value(v) for v in range(2 * p)]
+    s0 = ws.normalized.s0
+    problems = []
+    if values[0] != ring.embed((p + 1) % 4):
+        problems.append(f"S(1) = {values[0]}, want {(p + 1) % 4}")
+    if values[p] != ring.embed(2):
+        problems.append(f"S(gamma^p) = {values[p]}, want 2")
+    blocks = (("D0", classes.d0), ("D1", classes.d1), ("E0", classes.e0), ("E1", classes.e1))
+    if p % 8 in (3, 5):
+        two_s0 = s0 + s0
+        expect = {
+            "D0": ring.one - two_s0,
+            "D1": two_s0 - ring.one,
+            "E0": ring.embed(3),
+            "E1": ring.embed(3),
+        }
+        for name, block in blocks:
+            for v in sorted(block):
+                if values[v] != expect[name]:
+                    problems.append(f"S(gamma^{v}) != expected on {name}")
+                    break
+                if not values[v].is_unit():
+                    problems.append(f"S(gamma^{v}) is not a unit on {name}")
+                    break
+        detail_ok = "values match the p = +-3 (mod 8) table and are units"
+    else:
+        for name, block in blocks:
+            want = 2 if name == "E1" else 0
+            for v in sorted(block):
+                if values[v] != ring.embed(want):
+                    problems.append(f"S(gamma^{v}) != {want} on {name}")
+                    break
+        detail_ok = "values match the p = +-1 (mod 8) table (0 off E1, 2 on E1)"
+    return not problems, problems[0] if problems else detail_ok

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cyclo4 import galois
 from cyclo4.galois import (
     Z4,
     GaloisRing,
@@ -87,6 +88,17 @@ class TestConstructRing:
     def test_rejects_non_basic_modulus(self):
         with pytest.raises(ValueError):
             GaloisRing(zp(1, 0, 1))  # X^2 + 1 reduces to (X+1)^2
+
+    def test_rejects_a_modulus_that_is_not_a_graeffe_lift(self, monkeypatch):
+        # X^2 + 3X + 1 reduces to the irreducible X^2 + X + 1 mod 2, but X is
+        # not Teichmüller there: X^3 = 3, so X^(2^2) = 3X != X
+        monkeypatch.setattr(galois, "_graeffe_lift", lambda h: (1, 3, 1))
+        construct_ring.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="not a Graeffe lift"):
+                construct_ring(3)
+        finally:
+            construct_ring.cache_clear()
 
 
 class TestElementArithmetic:

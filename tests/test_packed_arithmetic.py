@@ -111,7 +111,7 @@ def test_sequence_values_match_oracle_when_r_is_small(p):
     product_slot_bits = (9 * ws.ring.r).bit_length() + 1
     assert 9 * 2 * p >= 1 << product_slot_bits
     want = oracles.sequence_values([e.coords for e in ws.powers], list(ws.seq.values))
-    assert [e.coords for e in ws.sequence_values_at_powers()] == want
+    assert [ws.sequence_value(v).coords for v in range(2 * p)] == want
 
 
 def _with_powers(ws, powers):

@@ -63,24 +63,21 @@ class TestIndividualChecks:
     def test_spectrum_values_match_hand_table(self, workspaces):
         # p = 7 is -1 mod 8: zero off E1, two on E1
         ws = workspaces[7]
-        values = ws.sequence_values_at_powers()
         for v in ws.classes.e1:
-            assert values[v] == ws.ring.embed(2)
+            assert ws.sequence_value(v) == ws.ring.embed(2)
         for v in ws.classes.d0 | ws.classes.d1 | ws.classes.e0:
-            assert values[v] == ws.ring.zero
+            assert ws.sequence_value(v) == ws.ring.zero
         # p = 5 is -3 mod 8: constant 3 on the even classes
         ws = workspaces[5]
-        values = ws.sequence_values_at_powers()
         for v in ws.classes.e0 | ws.classes.e1:
-            assert values[v] == ws.ring.embed(3)
+            assert ws.sequence_value(v) == ws.ring.embed(3)
 
     def test_spectrum_agrees_with_horner_evaluation(self, workspaces):
         for p in (3, 5, 7):
             ws = workspaces[p]
             poly = generating_polynomial(ws.seq)
-            values = ws.sequence_values_at_powers()
             for v in range(2 * p):
-                assert values[v] == poly.evaluate(ws.powers[v])
+                assert ws.sequence_value(v) == poly.evaluate(ws.powers[v])
 
     def test_spectrum_anchor_values(self, workspaces):
         # S(1) = p + 1 and S(gamma^p) = 2, reduced mod 4
@@ -211,6 +208,18 @@ def test_full_report_at_the_frontier_p_1019():
     assert [c.check_id for c in report.checks] == list(verify._CHECK_ORDER)
     for check in report.checks:
         # factorization and lemma9 are past the expansion cap
+        skipped = check.check_id in ("factorization", "lemma9")
+        want = CheckStatus.SKIP if skipped else CheckStatus.PASS
+        assert check.status is want, check.render()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", (1933, 2003, 1913, 1999, 2017, 2039))
+def test_full_report_near_2000_one_prime_per_class(p):
+    # p = 13, 3, 9, 15, 1, 7 (mod 16), r = 644, 286, 239, 333, 336, 1019
+    report = full_report(p)
+    assert [c.check_id for c in report.checks] == list(verify._CHECK_ORDER)
+    for check in report.checks:
         skipped = check.check_id in ("factorization", "lemma9")
         want = CheckStatus.SKIP if skipped else CheckStatus.PASS
         assert check.status is want, check.render()
