@@ -304,9 +304,14 @@ def brute_force_minimal(s, degree_cap: int | None = None) -> LfsrResult:
     order (c1 most significant) and the first annihilator wins. The cap
     defaults to the period, which always suffices since 1 + 3*X**n is a
     connection polynomial of any period-n sequence.
-    """
-    import numpy as np  # only brute force needs numpy; keep it off the import path
 
+    The residual S*C mod (X**n - 1, 4) is one int with a coefficient in
+    every byte slot. Column k, the period rotated by k, is what c_k
+    contributes, so each base-4 counter step adds the column of every
+    digit it changes: a digit going up by one adds it once, and so does
+    a digit wrapping from 3 to 0, as 4*column = 0. A slot holds at most
+    3 + 3 before the mask, so no carry crosses a slot.
+    """
     values = _period_values(s)
     n = len(values)
     cap = n if degree_cap is None else degree_cap
@@ -315,37 +320,25 @@ def brute_force_minimal(s, degree_cap: int | None = None) -> LfsrResult:
     if not any(values):
         return LfsrResult(lc=0, connection=RingPolynomial.from_ints(Z4, [1]))
 
-    svec = np.frombuffer(values, dtype=np.uint8).astype(np.int64)
+    start = _pack(values, 1)
+    mask = _pack(b"\x03" * n, 1)
     for degree in range(1, cap + 1):
-        # window[j, i] = s[(j - 1 - i) mod n]: residue j of the cyclic
-        # product S*C receives c_{i+1} * window[j, i].
-        window = np.empty((n, degree), dtype=np.int64)
-        for i in range(degree):
-            window[:, i] = np.roll(svec, i + 1)
-        hit = _scan_degree(svec, window, degree)
-        if hit is not None:
+        shifts = [k % n for k in range(1, degree + 1)]
+        columns = [_pack(values[-k:] + values[:-k], 1) for k in shifts]
+        digits = [0] * degree
+        residual = start
+        while residual:
+            i = degree - 1
+            while i >= 0 and digits[i] == 3:
+                digits[i] = 0
+                residual = (residual + columns[i]) & mask
+                i -= 1
+            if i < 0:
+                break
+            digits[i] += 1
+            residual = (residual + columns[i]) & mask
+        if not residual:
             return LfsrResult(
-                lc=degree, connection=RingPolynomial.from_ints(Z4, [1] + hit)
+                lc=degree, connection=RingPolynomial.from_ints(Z4, [1] + digits)
             )
     raise ValueError(f"no connection polynomial of degree <= {cap} exists")
-
-
-def _scan_degree(svec, window, degree: int) -> list[int] | None:
-    """First coefficient vector (lexicographic) annihilating cyclically."""
-    import numpy as np
-
-    total = 4**degree
-    batch = min(total, 1 << 16)
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total), dtype=np.int64)
-        coeffs = np.empty((len(idx), degree), dtype=np.int64)
-        rest = idx
-        for pos in range(degree - 1, -1, -1):
-            coeffs[:, pos] = rest % 4
-            rest = rest // 4
-        residual = (svec[None, :] + coeffs @ window.T) % 4
-        good = ~np.any(residual, axis=1)
-        if np.any(good):
-            row = int(np.argmax(good))
-            return [int(c) for c in coeffs[row]]
-    return None

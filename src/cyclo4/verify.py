@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cyclotomy import GeneralizedCyclotomy, build_classes
 from .galois import Z4, GaloisRing, GaloisRingElement, construct_ring, find_gamma, powers_of
@@ -59,27 +59,22 @@ class LemmaReport:
 
 @dataclass(frozen=True)
 class NormalizedGamma:
-    """An order-2p unit whose class sum over D0 is a unit.
+    """An order-2p unit whose class sum over D0 is a unit, with its powers.
 
     When the class sum of the original gamma is not a unit, gamma is
     replaced by gamma**v for the smallest v in D1, which swaps the roles
     of the two odd classes; the exponent records the substitution.
+    ``powers`` is (gamma**0, ..., gamma**(2p-1)) for the returned gamma.
     """
 
     gamma: GaloisRingElement
     s0: GaloisRingElement
     exponent: int
+    powers: tuple = field(repr=False)
 
     @property
     def replaced(self) -> bool:
         return self.exponent != 1
-
-
-def _class_sum(powers, block) -> GaloisRingElement:
-    acc = None
-    for v in sorted(block):
-        acc = powers[v] if acc is None else acc + powers[v]
-    return acc
 
 
 def normalize_gamma(
@@ -88,22 +83,24 @@ def normalize_gamma(
     """Replace gamma by gamma**v, v in D1, if needed to make S0 a unit.
 
     The two class sums add to 1, so they cannot both be non-units; the
-    substitution is therefore always available and deterministic.
+    substitution is therefore always available and deterministic. As
+    gamma**(2p) = 1 (``find_gamma`` makes it so and ``check_gamma`` checks
+    it), the powers of gamma**v are the powers of gamma at v*k mod 2p.
     """
     n = 2 * classes.p
-    powers = powers_of(gamma, n)
-    s0 = _class_sum(powers, classes.d0)
-    s1 = _class_sum(powers, classes.d1)
+    raw = powers_of(gamma, n)
+    s0 = ring.sum(raw[u] for u in classes.d0)
+    s1 = ring.sum(raw[u] for u in classes.d1)
     if s0 + s1 != ring.one:
         raise RuntimeError("internal: class sums over D0 and D1 do not add to 1")
     if s0.is_unit():
-        return NormalizedGamma(gamma=gamma, s0=s0, exponent=1)
+        return NormalizedGamma(gamma=gamma, s0=s0, exponent=1, powers=raw)
     v = min(classes.d1)
-    replacement = gamma**v
-    s0_new = _class_sum(powers_of(replacement, n), classes.d0)
+    powers = tuple(raw[v * k % n] for k in range(n))
+    s0_new = ring.sum(powers[u] for u in classes.d0)
     if not s0_new.is_unit():
         raise RuntimeError("internal: neither class sum is a unit")
-    return NormalizedGamma(gamma=replacement, s0=s0_new, exponent=v)
+    return NormalizedGamma(gamma=powers[1], s0=s0_new, exponent=v, powers=powers)
 
 
 class _Workspace:
@@ -118,7 +115,7 @@ class _Workspace:
         self.raw_gamma = raw_gamma
         self.normalized = normalize_gamma(self.ring, self.classes, raw_gamma)
         self.gamma = self.normalized.gamma
-        self.powers = powers_of(self.gamma, 2 * p)
+        self.powers = self.normalized.powers
         self.seq = generate_sequence(p, self.classes)
 
     def sequence_value(self, v: int) -> GaloisRingElement:

@@ -197,12 +197,17 @@ class TestWeakPopov:
 
 
 def test_import_leaves_numpy_out():
+    # neither the import nor a brute-force search loads numpy
     src = str(Path(cyclo4.__file__).parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import cyclo4; print('numpy' in sys.modules)"
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import cyclo4; print('numpy' in sys.modules); "
+        "from cyclo4.lfsr import brute_force_minimal; from cyclo4.sequence import generate_sequence; "
+        "print(brute_force_minimal(generate_sequence(5), degree_cap=10).lc, 'numpy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "10", "False"]
 
 
 class TestReedsSloane:
@@ -295,11 +300,14 @@ class TestBruteForce:
         assert brute_force_minimal([0, 0, 0]).lc == 0
 
     def test_lexicographic_first_hit(self):
+        # every period of length <= 4 walks the counter through carries over
+        # several digits; the random ones reach length 5
         rng = random.Random(321)
-        for _ in range(60):
-            n = rng.randrange(2, 6)
-            values = [rng.randrange(4) for _ in range(n)]
+        short = [list(v) for n in range(1, 5) for v in itertools.product(range(4), repeat=n)]
+        randoms = [[rng.randrange(4) for _ in range(rng.randrange(2, 6))] for _ in range(60)]
+        for values in short + randoms:
             result = brute_force_minimal(values)
+            assert result.lc == cyclic_min_degree(values), values
             got = tuple(result.connection_ints()[1:])
             # recompute the first lexicographic annihilator naively
             first = None

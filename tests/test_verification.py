@@ -43,6 +43,15 @@ class TestNormalization:
         s1 = sum((pw[v] for v in ws.classes.d1), ws.ring.zero)
         assert s0 + s1 == ws.ring.one
 
+    @pytest.mark.parametrize("p", (7, 23, 47, 71, 79, 89, 103, 113, 137, 151, 191, 199))
+    def test_replaced_table_is_reindexed_raw_table(self, p):
+        # the odd primes <= 199 whose gamma is replaced: the reindexed raw
+        # table must equal the replacement's table built by multiplication
+        ws = _Workspace(p)
+        assert ws.normalized.replaced
+        assert ws.gamma == ws.raw_gamma**ws.normalized.exponent
+        assert ws.powers == powers_of.__wrapped__(ws.gamma, 2 * p)
+
     def test_unit_sum_left_unchanged(self):
         # p = 3: S0(gamma) = gamma = 3w is already a unit
         ring = construct_ring(3)
