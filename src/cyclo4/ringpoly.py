@@ -175,6 +175,7 @@ class RingPolynomial:
         if len(self.coeffs) < nd:
             return RingPolynomial(ring, ()), self
         inv = lead.inverse()
+        terms = [(j, dj) for j, dj in enumerate(divisor.coeffs) if dj != ring.zero]
         rem = list(self.coeffs)
         quo = [ring.zero] * (len(rem) - nd + 1)
         for k in range(len(quo) - 1, -1, -1):
@@ -182,7 +183,7 @@ class RingPolynomial:
             if c == ring.zero:
                 continue
             quo[k] = c
-            for j, dj in enumerate(divisor.coeffs):
+            for j, dj in terms:
                 rem[k + j] = rem[k + j] - c * dj
         return RingPolynomial(ring, quo), RingPolynomial(ring, rem)
 
@@ -195,7 +196,9 @@ class RingPolynomial:
     def evaluate(self, point):
         """Horner evaluation at a point of any characteristic-4 ring.
 
-        Coefficients of an r = 1 ring (Z4) embed canonically, as
+        A run of zero coefficients costs one power of the point, so a
+        sparse polynomial costs about log(degree) products per nonzero
+        term. Coefficients of an r = 1 ring (Z4) embed canonically, as
         constants, when the point lives in another ring.
         """
         ring = point.ring
@@ -205,10 +208,17 @@ class RingPolynomial:
             lift = lambda c: ring.embed(c.value)
         else:
             raise TypeError("cannot evaluate: incompatible coefficient ring")
-        acc = ring.zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + lift(c)
-        return acc
+        coeffs, zero = self.coeffs, self.ring.zero
+        if not coeffs:
+            return ring.zero
+        prev = len(coeffs) - 1
+        acc = lift(coeffs[prev])
+        for i in range(prev - 1, -1, -1):
+            if coeffs[i] != zero:
+                step = point if prev - i == 1 else point ** (prev - i)
+                acc = acc * step + lift(coeffs[i])
+                prev = i
+        return acc * point ** prev if prev else acc
 
     def __eq__(self, other):
         return (

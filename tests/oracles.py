@@ -8,16 +8,17 @@ term first) of Z4[X]/(f): a schoolbook product with top-down reduction
 by the monic f, the pairwise unit-difference scan over a power table, and
 the sequence values S(gamma**v) summed one term at a time. Over GF(2)
 (bitmask polynomials) there is a coefficient-by-coefficient product,
-irreducibility by exhaustive trial division and by the Rabin test, and
-an incremental column echelon that finds the minimal connection
-polynomial by a route independent of the library's module reduction,
-with a plain cyclic annihilation test. Everything here is deliberately
-naive and separate from the library's own code paths. The exceptions
-compute with the library's tested arithmetic and are naive in what they
-do with it: the Rabin test squares with the bitmask product and
-remainder; the scan for an element of order p powers every unit
-candidate in turn, without assuming X is Teichmüller; and Lemmas 3 and
-4/8 are checked by brute force, O(p**2), from every product set of the
+irreducibility by exhaustive trial division, by Ben-Or's test and by the
+Rabin test, and an incremental column echelon that finds the minimal
+connection polynomial by a route independent of the library's module
+reduction, with a plain cyclic annihilation test. Everything here is
+deliberately naive and separate from the library's own code paths. The
+exceptions compute with the library's tested arithmetic and are naive in
+what they do with it: Ben-Or's and the Rabin test square with the bitmask
+product or remainder; dense Horner evaluates a polynomial with one ring
+product per coefficient; the scan for an element of order p powers every
+unit candidate in turn, without assuming X is Teichmüller; and Lemmas 3
+and 4/8 are checked by brute force, O(p**2), from every product set of the
 classes and from S(gamma**v) compared with its table entry for every v.
 """
 
@@ -187,6 +188,21 @@ def gf2_gcd(a: int, b: int) -> int:
     return a
 
 
+def gf2_is_irreducible_ben_or(h: int) -> bool:
+    """Irreducibility by Ben-Or's test: gcd(X**(2**i) - X, h) = 1 for
+    i = 1 .. deg h // 2, squaring by bit spreading and reducing with the
+    library's plain ``mod`` at every step; exact for every degree."""
+    r = f2.degree(h)
+    if r < 1:
+        return False
+    t = 2
+    for _ in range(r // 2):
+        t = f2.mod(int(bin(t)[2:], 4), h)
+        if f2.gcd(t ^ 2, h) != 1:
+            return False
+    return True
+
+
 def gf2_is_irreducible_rabin(h: int) -> bool:
     """Irreducibility by the Rabin test: X**(2**r) = X mod h, and
     gcd(X**(2**(r/q)) - X, h) = 1 for each prime q dividing r = deg h.
@@ -207,6 +223,17 @@ def gf2_is_irreducible_rabin(h: int) -> bool:
         if i in checkpoints and f2.gcd(t ^ x, h) != 1:
             return False
     return t == x
+
+
+def horner(poly, point):
+    """poly(point) by dense Horner, one ring product per coefficient;
+    Z4 coefficients embed as constants when the point is in GR(4**r, 4)."""
+    ring = point.ring
+    lift = (lambda c: c) if poly.ring == ring else (lambda c: ring.embed(c.value))
+    acc = ring.zero
+    for c in reversed(poly.coeffs):
+        acc = acc * point + lift(c)
+    return acc
 
 
 def annihilates(values: list[int], coeffs: list[int]) -> bool:

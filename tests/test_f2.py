@@ -96,19 +96,104 @@ def test_is_irreducible_matches_trial_division_through_degree_11():
 @settings(max_examples=500, deadline=None)
 @given(_POLYS)
 def test_is_irreducible_matches_rabin_oracle(h):
-    assert f2.is_irreducible(h) == oracles.gf2_is_irreducible_rabin(h)
+    want = oracles.gf2_is_irreducible_rabin(h)
+    assert f2.is_irreducible(h) == want
+    assert oracles.gf2_is_irreducible_ben_or(h) == want
+
+
+def _irreducible_from(k: int, start: int) -> int:
+    """The first irreducible X**k + low for low = start, start + 1, ...
+    (mod 2**k), by Ben-Or's oracle."""
+    low = start
+    while not oracles.gf2_is_irreducible_ben_or((1 << k) | low):
+        low = (low + 1) % (1 << k)
+    return (1 << k) | low
+
+
+# products of up to three irreducible factors of degree 2 .. 45, repeats
+# allowed: their least factor often lies past Ben-Or's first steps
+_PRODUCTS = st.lists(
+    st.integers(2, 45).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, (1 << k) - 1))),
+    min_size=1,
+    max_size=3,
+).map(lambda specs: [_irreducible_from(k, start) for k, start in specs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PRODUCTS)
+def test_is_irreducible_matches_oracles_on_products(factors):
+    h = 1
+    for g in factors:
+        h = f2.mul(h, g)
+    assert f2.is_irreducible(h) == (len(factors) == 1)
+    assert oracles.gf2_is_irreducible_ben_or(h) == (len(factors) == 1)
+    assert oracles.gf2_is_irreducible_rabin(h) == (len(factors) == 1)
+
+
+def _checkpoints(r: int) -> set[int]:
+    """Ben-Or's first steps and Rabin's steps r/q, as ``is_irreducible`` takes them."""
+    ben_or = range(1, min(r // 2, f2._BEN_OR_STEPS) + 1)
+    primes = [q for q in range(2, r + 1) if r % q == 0 and all(q % d for d in range(2, q))]
+    return set(ben_or) | {r // q for q in primes}
+
+
+def _gcd_steps_and_fixed_point(h: int) -> tuple[set[int], bool]:
+    """The checkpoints i with gcd(X**(2**i) - X, h) != 1, and whether
+    X**(2**r) = X mod h, by the plain ``mulmod``."""
+    r = f2.degree(h)
+    steps, t, hits = _checkpoints(r), 2, set()
+    for i in range(1, r + 1):
+        t = f2.mulmod(t, t, h)
+        if i in steps and f2.gcd(t ^ 2, h) != 1:
+            hits.add(i)
+    return hits, t == 2
 
 
 def test_products_of_two_irreducibles_of_equal_degree_rejected():
     # h times its reciprocal (which is h itself for X^2 + X + 1, the only
-    # irreducible of degree 2) has no factor below degree k, so Ben-Or's
-    # test rejects it only at its last step, i = k.
+    # irreducible of degree 2) has no factor below degree k, so the test
+    # rejects it only at step k: Ben-Or's last step for k <= 20, Rabin's
+    # checkpoint r/2 past it.
     for k in range(2, 41):
         h = f2.lex_smallest_irreducible(k)
         reciprocal = int(bin(h)[:1:-1], 2)
         for product in (f2.mul(h, h), f2.mul(h, reciprocal)):
             assert not f2.is_irreducible(product), (k, bin(product))
             assert not oracles.gf2_is_irreducible_rabin(product), k
+
+
+@pytest.mark.parametrize("k", range(21, 31))
+def test_three_distinct_irreducibles_of_one_degree_rejected_at_r_over_3(k):
+    # X**(2**3k) = X modulo the squarefree product, and no Ben-Or step
+    # i <= 20 < k sees a factor: only the checkpoint r/3 = k rejects it.
+    a = _irreducible_from(k, 1)
+    b = _irreducible_from(k, (a + 1) & ((1 << k) - 1))
+    c = _irreducible_from(k, (b + 1) & ((1 << k) - 1))
+    assert len({a, b, c}) == 3
+    product = f2.mul(f2.mul(a, b), c)
+    assert _gcd_steps_and_fixed_point(product) == ({k}, True)
+    assert not f2.is_irreducible(product)
+
+
+@pytest.mark.parametrize("a, b", [(21, 22), (21, 23), (22, 25), (23, 24), (25, 27), (29, 31)])
+def test_product_of_coprime_degrees_rejected_by_final_comparison(a, b):
+    # every factor's degree is above 20 and divides no r/q, so no gcd step
+    # sees one; only X**(2**r) != X mod h rejects the product
+    product = f2.mul(f2.lex_smallest_irreducible(a), f2.lex_smallest_irreducible(b))
+    assert _gcd_steps_and_fixed_point(product) == (set(), False)
+    assert not f2.is_irreducible(product)
+
+
+def test_reciprocals_of_table_entries_accepted():
+    # the reciprocal of an irreducible is irreducible; its low part is
+    # dense, so every step folds by a long product before ``mod``
+    for r, low in LEX_SMALLEST_LOW.items():
+        if r < 2:
+            continue
+        reciprocal = int(bin((1 << r) | low)[:1:-1], 2)
+        assert f2.degree(reciprocal) == r
+        assert f2.degree(reciprocal ^ (1 << r)) >= r // 2, r
+        assert f2.is_irreducible(reciprocal), r
 
 
 def test_inverse_mod_round_trips():

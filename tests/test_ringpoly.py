@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclo4.galois import Z4, GaloisRing
+import oracles
+from cyclo4.galois import Z4, GaloisRing, construct_ring
 from cyclo4.ringpoly import NEG_INF, NonUnitDivisorError, RingPolynomial
 
 
@@ -185,3 +188,41 @@ class TestRingAxioms:
             a, b = random_poly(rng), random_poly(rng)
             for p in (a + b, a - b, a * b):
                 assert not p.coeffs or p.coeffs[-1] != Z4.zero
+
+
+# Z4, GR(4^3, 4) and GR(4^10, 4)
+_RINGS = st.sampled_from((1, 7, 11)).map(lambda p: Z4 if p == 1 else construct_ring(p))
+
+
+def _elements(ring):
+    return st.lists(st.integers(0, 3), min_size=ring.r, max_size=ring.r).map(ring.element)
+
+
+def _polys(ring, max_degree=60):
+    """Dense polynomials, and sparse ones with long runs of zero coefficients."""
+    dense = st.lists(_elements(ring), max_size=max_degree + 1)
+    sparse = st.dictionaries(st.integers(0, max_degree), _elements(ring), max_size=4).map(
+        lambda terms: [terms.get(i, ring.zero) for i in range(max(terms, default=-1) + 1)]
+    )
+    return st.one_of(dense, sparse).map(lambda coeffs: RingPolynomial(ring, coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_evaluate_matches_dense_horner(data):
+    # a Z4 polynomial at a point of a larger ring takes the embedding path
+    ring = data.draw(_RINGS)
+    poly = data.draw(_polys(data.draw(st.sampled_from((Z4, ring)))))
+    point = data.draw(_elements(ring))
+    assert poly.evaluate(point) == oracles.horner(poly, point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_divmod_round_trip_on_sparse_and_dense_divisors(data):
+    ring = data.draw(_RINGS)
+    a = data.draw(_polys(ring))
+    d = data.draw(_polys(ring, 30).filter(lambda d: not d.is_zero and d.coeffs[-1].is_unit()))
+    q, r = divmod(a, d)
+    assert q * d + r == a
+    assert r.degree < d.degree
