@@ -28,6 +28,12 @@ from .primes import factorize, require_odd_prime
 from .ringpoly import RingPolynomial
 
 
+# a run of zero slots at least this wide splits the fold into pieces: the
+# narrow products then skip more than two 30-bit digits of zeros per digit
+# of the high part, which outweighs one more shift and add per round
+_FOLD_GAP_BITS = 64
+
+
 class GaloisRing:
     """The ring Z4[X]/(f) for a monic basic irreducible f of degree r.
 
@@ -39,6 +45,14 @@ class GaloisRing:
     mask reduces it mod 4. The part above slot r is folded back with
     X**r = -f_low in multiply-add rounds; each round lowers the top degree
     by r - deg f_low, so the sparse Graeffe moduli need two or three.
+
+    The packed -f_low is split into fold pieces (slot shift, dense run) at
+    every run of zero slots at least ``_FOLD_GAP_BITS`` wide, and a round
+    adds one narrow product per piece, shifted into place. A canonical
+    modulus of large r has its few nonzero low terms in two clusters, near
+    slot 0 and near slot r/2 (from h(X)*h(-X) for a sparse h), so a round
+    is two narrow products instead of one r/2-slot product; a dense
+    modulus gives one piece, the whole -f_low.
     """
 
     def __init__(self, modulus: RingPolynomial):
@@ -76,9 +90,12 @@ class GaloisRing:
         self._odd = ones
         self._fours = 4 * ones
         self._mask = 3 * ones
-        self._wide_mask = 3 * (((1 << (B * (2 * r - 1))) - 1) // ((1 << B) - 1))
+        # 2r + 1 slots: a product of reduced elements, or f(X**2) (x_is_teichmuller)
+        self._wide_mask = 3 * (((1 << (B * (2 * r + 1))) - 1) // ((1 << B) - 1))
         self._split = B * r
-        self._fold = self._pack((-c) % 4 for c in modulus[:r])
+        neg_low = [(-c) % 4 for c in modulus[:r]]
+        self._fold = self._pack(neg_low)
+        self._fold_pieces = _fold_pieces(neg_low, B)
         # reduced terms (at most 3 per slot) that a reduced slot can take
         self._sum_chunk = ((1 << B) - 4) // 3
         self._constants = tuple(GaloisRingElement(self, n) for n in range(4))
@@ -95,13 +112,59 @@ class GaloisRing:
         return sum(c << (i * B) for i, c in enumerate(coords))
 
     def _mul_packed(self, a: int, b: int) -> int:
-        wide, split, low, fold = self._wide_mask, self._split, self._mask, self._fold
-        t = (a * b) & wide
+        return self._reduce(a * b)
+
+    def _reduce(self, t: int) -> int:
+        """The reduced packed element congruent to t, a packed polynomial of
+        at most 2r + 1 slots, each holding a non-negative value below 2**B."""
+        wide, split, low, pieces = self._wide_mask, self._split, self._mask, self._fold_pieces
+        t &= wide
         high = t >> split
         while high:
-            t = ((t & low) + high * fold) & wide
+            acc = t & low
+            for shift, run in pieces:
+                acc += (high * run) << shift
+            t = acc & wide
             high = t >> split
         return t
+
+    def x_power(self, n: int) -> "GaloisRingElement":
+        """X**n for n >= 0, left to right from X on the top bit of n.
+
+        Each step squares; a set bit then multiplies by X, which is a shift
+        by one slot and one fold of the new top coefficient c by
+        X**r = -f_low, c * (-f_low) being a small multiple of one int.
+        """
+        if n == 0:
+            return self.one
+        B, split, low, fold = self._slot_bits, self._split, self._mask, self._fold
+        mul = self._mul_packed
+        t = self.x.packed
+        for bit in bin(n)[3:]:
+            t = mul(t, t)
+            if bit == "1":
+                t <<= B
+                t = ((t & low) + (t >> split) * fold) & low
+        return GaloisRingElement(self, t)
+
+    def x_is_teichmuller(self) -> bool:
+        """Whether X**(2**r) = X, checked as f(X**2) = 0 by one reduction.
+
+        The coefficient c_k of f goes to slot 2k, and the 2r + 1 slots are
+        reduced as a product is. The two conditions are equivalent because
+        f is basic irreducible. It then has exactly one root over each root
+        of f mod 2 (Hensel), and the Frobenius sigma of GR(4**r, 4), the
+        automorphism of order r that lifts squaring mod 2, permutes the
+        roots of f, since it fixes the coefficients. For the root xi = X,
+        sigma(xi) is therefore the root over xi**2 mod 2. If f(xi**2) = 0,
+        then xi**2 is that root, so sigma(xi) = xi**2, sigma**k(xi) =
+        xi**(2**k) by induction, and xi**(2**r) = sigma**r(xi) = xi.
+        Conversely, xi**(2**r) = xi makes xi Teichmüller, and sigma(xi) =
+        xi**2 for a Teichmüller xi (Wan, Lectures on Finite Fields and
+        Galois Rings, 2003), so f(xi**2) = sigma(f(xi)) = 0.
+        """
+        B = self._slot_bits
+        return not self._reduce(sum(c << (2 * k * B) for k, c in enumerate(self._key[1])))
 
     def element(self, coords) -> "GaloisRingElement":
         coords = [int(c) % 4 for c in coords]
@@ -191,17 +254,20 @@ class GaloisRingElement:
         return GaloisRingElement(self.ring, self.ring._mul_packed(self.packed, other.packed))
 
     def __pow__(self, n: int):
+        """Left to right from the base on the top bit of n: bitlen(n) - 1
+        squarings and popcount(n) - 1 multiplies by the base."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        ring = self.ring
+        if n == 0:
+            return ring.one
+        mul, a = ring._mul_packed, self.packed
+        t = a
+        for bit in bin(n)[3:]:
+            t = mul(t, t)
+            if bit == "1":
+                t = mul(t, a)
+        return GaloisRingElement(ring, t)
 
     def inverse(self) -> "GaloisRingElement":
         """Unit inverse: invert mod 2 in the residue field, then lift."""
@@ -262,6 +328,24 @@ class GaloisRingElement:
         return f"<{self} in {self.ring!r}>"
 
 
+def _fold_pieces(coeffs: list[int], B: int) -> tuple[tuple[int, int], ...]:
+    """(bit shift, packed run) pieces of the packed coefficient list with
+    B-bit slots: the runs between the zero-slot gaps at least
+    ``_FOLD_GAP_BITS`` wide. The shifted runs add up to the whole list."""
+    groups: list[list[int]] = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if groups and (i - groups[-1][1] - 1) * B < _FOLD_GAP_BITS:
+            groups[-1][1] = i
+        else:
+            groups.append([i, i])
+    return tuple(
+        (lo * B, sum(coeffs[i] << ((i - lo) * B) for i in range(lo, hi + 1)))
+        for lo, hi in groups
+    )
+
+
 def ord2_mod_p(p: int) -> int:
     """The least r >= 1 with 2**r = 1 mod p; divides p - 1."""
     require_odd_prime(p)
@@ -311,16 +395,17 @@ Z4 = GaloisRing._of_irreducible(0b10)
 
 @lru_cache(maxsize=None)
 def construct_ring(p: int) -> GaloisRing:
-    """The canonical GR(4**r, 4) for an odd prime p, r = ord of 2 mod p."""
+    """The canonical GR(4**r, 4) for an odd prime p, r = ord of 2 mod p.
+
+    The Graeffe lift is checked to make X Teichmüller: X**(2**r) = X, so
+    the unit X has order dividing 2**r - 1. The check is f(X**2) = 0 mod
+    f, one reduction instead of r squarings; it is equivalent because f
+    is basic irreducible (:meth:`GaloisRing.x_is_teichmuller`).
+    """
     r = ord2_mod_p(p)
     # lex_smallest_irreducible has tested h once; the lift and the ring trust it
     ring = GaloisRing._of_irreducible(f2.lex_smallest_irreducible(r))
-    # Teichmüller check on the lift: the class of X has order dividing
-    # 2**r - 1, that is X**(2**r) = X for the unit X, by r squarings.
-    t = ring.x
-    for _ in range(r):
-        t = t * t
-    if t != ring.x:
+    if not ring.x_is_teichmuller():
         raise RuntimeError("internal: modulus is not a Graeffe lift")
     return ring
 
@@ -358,47 +443,68 @@ def find_gamma(ring: GaloisRing, p: int) -> tuple[GaloisRingElement, GaloisRingE
 
     When X is Teichmüller (X**(2**r) = X, as for every ring
     :func:`construct_ring` builds), X**((2**r - 1)/p) is the first
-    candidate's power with r fewer squarings; it is taken when it has
-    order p, and the scan runs otherwise.
+    candidate's power with r fewer squarings, computed by
+    :meth:`GaloisRing.x_power`, whose multiplies by X are slot shifts; it
+    is taken when it has order p, and the scan runs otherwise.
     """
     require_odd_prime(p)
     r = ring.r
     if ((1 << r) - 1) % p != 0:
         raise ValueError(f"p={p} does not divide 2**{r} - 1; wrong ring for this p")
-    exponent = ring.unit_group_order // p
     # (X**m)**p = X**(2**r - 1) with m = (2**r - 1)/p, which is 1 exactly
     # when X is Teichmüller, and then X**m = X**(2**r * m)
-    beta = ring.x ** (exponent >> r)
+    beta = ring.x_power(((1 << r) - 1) // p)
     if beta == ring.one or beta ** p != ring.one:
-        beta = None
-        k = 4  # coords of X in the base-4 counter
-        while k < 1 << (2 * r):
-            coords = []
-            t = k
-            while t:
-                coords.append(t % 4)
-                t //= 4
-            if any(c % 2 for c in coords):
-                cand = ring.element(coords)
-                b = cand ** exponent
-                if b != ring.one:
-                    beta = b
-                    break
-            k += 1
-    if beta is None:
-        raise RuntimeError("internal: no unit of order p found; ring is inconsistent")
-    if beta ** p != ring.one:
-        raise RuntimeError("internal: candidate power does not have order p")
-    gamma = ring.embed(3) * beta
+        beta = _scan_for_order_p(ring, p)
+        if beta ** p != ring.one:
+            raise RuntimeError("internal: candidate power does not have order p")
+    gamma = -beta  # 3 * beta
     if gamma ** p != ring.embed(3):
         raise RuntimeError("internal: gamma**p != -1")
     return beta, gamma
 
 
+def _scan_for_order_p(ring: GaloisRing, p: int) -> GaloisRingElement:
+    """The first power u**(|unit group| / p) distinct from 1 over the units
+    u = X, X+1, X+2, ... in base-4 coordinate order."""
+    exponent = ring.unit_group_order // p
+    k = 4  # coords of X in the base-4 counter
+    while k < 1 << (2 * ring.r):
+        coords = []
+        t = k
+        while t:
+            coords.append(t % 4)
+            t //= 4
+        if any(c % 2 for c in coords):
+            b = ring.element(coords) ** exponent
+            if b != ring.one:
+                return b
+        k += 1
+    raise RuntimeError("internal: no unit of order p found; ring is inconsistent")
+
+
 @lru_cache(maxsize=128)
 def powers_of(x: GaloisRingElement, count: int) -> tuple:
-    """(x**0, x**1, ..., x**(count-1)), built incrementally and cached."""
-    out = [x.ring.one]
-    for _ in range(count - 1):
-        out.append(out[-1] * x)
+    """(x**0, x**1, ..., x**(count-1)), built incrementally and cached.
+
+    The chain of products stops at the first k >= 1 with x**k = 1 or
+    x**k = -1, computed; the rest is periodic, x**(qk + j) = (x**k)**q *
+    x**j = (+-1)**q * x**j, and is filled by copies and negations. For
+    gamma of order 2p (gamma**p = -1), 2p entries take p - 1 products.
+    """
+    ring = x.ring
+    one, minus_one = ring.one.packed, ring.embed(3).packed
+    mul, a = ring._mul_packed, x.packed
+    out = [ring.one]
+    t = a
+    while len(out) < count:
+        if t == one or t == minus_one:
+            k = len(out)
+            for j in range(k, count):
+                q, base = divmod(j, k)
+                out.append(out[base] if t == one or not q % 2 else -out[base])
+            break
+        out.append(GaloisRingElement(ring, t))
+        if len(out) < count:
+            t = mul(t, a)
     return tuple(out)

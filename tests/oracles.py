@@ -17,9 +17,11 @@ exceptions compute with the library's tested arithmetic and are naive in
 what they do with it: Ben-Or's and the Rabin test square with the bitmask
 product or remainder; dense Horner evaluates a polynomial with one ring
 product per coefficient; the scan for an element of order p powers every
-unit candidate in turn, without assuming X is Teichmüller; and Lemmas 3
-and 4/8 are checked by brute force, O(p**2), from every product set of the
-classes and from S(gamma**v) compared with its table entry for every v.
+unit candidate in turn, without assuming X is Teichmüller; the
+Teichmüller test squares X r times; the power table is a plain chain of
+products, one per entry; and Lemmas 3 and 4/8 are checked by brute force,
+O(p**2), from every product set of the classes and from S(gamma**v)
+compared with its table entry for every v.
 """
 
 from __future__ import annotations
@@ -328,6 +330,22 @@ def echelon_minimal_connection(values: list[int]) -> tuple[int, list[int]]:
         coeffs.pop()
     assert len(coeffs) - 1 == degree, "witness degree disagrees with the search"
     return degree, coeffs
+
+
+def teichmuller_by_squarings(ring) -> bool:
+    """Whether X**(2**r) = X in the ring, by r squarings of X."""
+    t = ring.x
+    for _ in range(ring.r):
+        t = t * t
+    return t == ring.x
+
+
+def power_chain(x, count: int) -> list:
+    """[x**0, ..., x**(count - 1)] by one product per entry."""
+    out = [x.ring.one]
+    for _ in range(count - 1):
+        out.append(out[-1] * x)
+    return out
 
 
 def scan_beta(ring, p: int):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from cyclo4 import galois
 from cyclo4.galois import (
     Z4,
@@ -99,6 +100,23 @@ class TestConstructRing:
                 construct_ring(3)
         finally:
             construct_ring.cache_clear()
+
+    def test_one_reduction_check_agrees_with_r_squarings(self):
+        for p in odd_primes(3, 499):
+            ring = construct_ring(p)
+            assert ring.x_is_teichmuller(), p
+            assert oracles.teichmuller_by_squarings(ring), p
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 31, 59, 131, 293])
+    def test_both_checks_reject_basic_irreducible_mutants(self, p):
+        # f + 2X**k reduces to the same irreducible mod 2, so it is basic
+        # irreducible, but only the Graeffe lift has the Teichmüller root X
+        f = [c.value for c in construct_ring(p).modulus.coeffs]
+        r = len(f) - 1
+        for k in sorted({0, 1, r // 2, r // 2 + 1, r - 1} - {r}):
+            mutant = GaloisRing(zp(*[(c + 2 * (i == k)) % 4 for i, c in enumerate(f)]))
+            assert not mutant.x_is_teichmuller(), (p, k)
+            assert not oracles.teichmuller_by_squarings(mutant), (p, k)
 
 
 class TestElementArithmetic:

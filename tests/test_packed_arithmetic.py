@@ -1,6 +1,7 @@
 """Packed Galois-ring arithmetic and the linear-time checks against the
 plain-Python oracles in ``oracles.py``."""
 
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 
 import oracles
 from cyclo4 import f2
-from cyclo4.galois import Z4, GaloisRing, construct_ring, find_gamma, powers_of
+from cyclo4.galois import (
+    Z4,
+    GaloisRing,
+    GaloisRingElement,
+    construct_ring,
+    find_gamma,
+    lift_irreducible,
+    powers_of,
+)
 from cyclo4.ringpoly import RingPolynomial
 from cyclo4.verify import CheckStatus, _Workspace, check_gamma
 
@@ -35,11 +44,21 @@ def _modulus(ring):
     return [c.value for c in ring.modulus.coeffs]
 
 
-def _elements(ring):
-    def digits(k):
-        return [(k >> (2 * i)) & 3 for i in range(ring.r)]
+def _from_counter(ring, k):
+    return ring.element([(k >> (2 * i)) & 3 for i in range(ring.r)])
 
-    return st.integers(0, 4**ring.r - 1).map(lambda k: ring.element(digits(k)))
+
+def _full_elements(ring):
+    """Uniform elements, so of full degree but for a few top zeros."""
+    uniform = st.randoms(use_true_random=False).map(lambda rng: rng.randrange(4**ring.r))
+    return uniform.map(lambda k: _from_counter(ring, k))
+
+
+def _elements(ring):
+    # hypothesis mostly draws small integers from a wide range, which are
+    # elements of low degree whose products need no fold
+    small = st.integers(0, 4**ring.r - 1).map(lambda k: _from_counter(ring, k))
+    return small | _full_elements(ring)
 
 
 def _ring_with(count):
@@ -164,3 +183,121 @@ def test_construct_ring_tests_the_modulus_once(monkeypatch):
     finally:
         construct_ring.cache_clear()
         f2.lex_smallest_irreducible.cache_clear()
+
+
+def _reciprocal_lift_ring(r: int) -> GaloisRing:
+    """The ring of the Graeffe lift of the reciprocal of the canonical
+    irreducible of degree r, whose low part sits near X**r."""
+    h = f2.lex_smallest_irreducible(r)
+    return GaloisRing(lift_irreducible(int(bin(h)[2:][::-1], 2)))
+
+
+# (ring, number of fold pieces of its modulus)
+FOLD_RINGS = [
+    (construct_ring(59), 2),
+    (construct_ring(131), 2),
+    (construct_ring(293), 2),
+    (construct_ring(211), 3),
+    (_reciprocal_lift_ring(58), 3),
+    (_dense_ring(12), 1),
+    (_dense_ring(40), 1),
+    (construct_ring(73), 1),
+]
+
+
+@pytest.mark.parametrize("ring,count", FOLD_RINGS, ids=lambda v: repr(v))
+def test_fold_pieces_add_up_to_the_fold(ring, count):
+    pieces = ring._fold_pieces
+    assert len(pieces) == count
+    assert sum(run << shift for shift, run in pieces) == ring._fold
+    assert all(run & ((1 << ring._slot_bits) - 1) for _, run in pieces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([ring for ring, _ in FOLD_RINGS]).flatmap(
+        lambda ring: st.tuples(st.just(ring), _full_elements(ring), _full_elements(ring))
+    )
+)
+def test_sparse_fold_product_matches_schoolbook(args):
+    ring, a, b = args
+    got = GaloisRingElement(ring, ring._mul_packed(a.packed, b.packed)).coords
+    assert got == oracles.gr_mul(_modulus(ring), a.coords, b.coords)
+
+
+X_POWER_RINGS = [ring for ring in RINGS if ring.r <= 40] + [
+    GaloisRing(RingPolynomial.from_ints(Z4, [1, 3, 1])),  # X is not Teichmüller
+    _reciprocal_lift_ring(28),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(X_POWER_RINGS), st.integers(0, 1 << 20))
+def test_x_power_matches_schoolbook(ring, n):
+    assert ring.x_power(n).coords == oracles.gr_pow(_modulus(ring), ring.x.coords, n)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 31, 43, 59, 131])
+def test_x_power_gives_the_scanned_beta(p):
+    ring = construct_ring(p)
+    assert ring.x_power(((1 << ring.r) - 1) // p) == oracles.scan_beta(ring, p)
+
+
+@pytest.mark.parametrize("p", [3, 7, 31, 59])
+def test_power_table_matches_a_product_chain(p):
+    ring = construct_ring(p)
+    beta, gamma = find_gamma(ring, p)
+    rng = random.Random(p)
+    units = []
+    while len(units) < 3:
+        e = ring.element([rng.randrange(4) for _ in range(ring.r)])
+        if e.is_unit():
+            units.append(e)
+    xs = [gamma, beta, ring.embed(3), ring.embed(2), ring.one, ring.zero, -ring.x] + units
+    for x in xs:
+        for count in sorted({1, 2, 3, 4, p, p + 1, 2 * p, 2 * p + 1, 3 * p + 2}):
+            want = oracles.power_chain(x, count)
+            assert list(powers_of.__wrapped__(x, count)) == want, (x, count)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The list that every ``GaloisRing._mul_packed`` call appends to."""
+    calls = []
+    real = GaloisRing._mul_packed
+
+    def counting(self, a, b):
+        calls.append(self.r)
+        return real(self, a, b)
+
+    monkeypatch.setattr(GaloisRing, "_mul_packed", counting)
+    return calls
+
+
+def test_power_makes_one_product_per_squaring_and_set_bit(products):
+    ring = construct_ring(59)
+    x = ring.x + ring.one
+    assert x**0 == ring.one and x**1 == x
+    assert len(products) == 0
+    y = x**1019
+    # 1019 = 0b1111111011: 9 squarings, then 8 multiplies for the set bits below the top
+    assert len(products) == 9 + bin(1019).count("1") - 1
+    assert y.coords == oracles.gr_pow(_modulus(x.ring), x.coords, 1019)
+
+
+def test_ring_setup_makes_a_bounded_number_of_products(products):
+    construct_ring.cache_clear()
+    powers_of.cache_clear()
+    try:
+        ring = construct_ring(719)
+        assert len(products) == 0  # the Teichmüller check is one reduction
+        find_gamma(ring, 719)
+        # about r squarings for X**((2**r - 1)/p), then a few powers by p
+        assert len(products) <= ring.r + 40
+        products.clear()
+        ws = _Workspace(293)
+        # the ring's r - 9 squarings, p - 1 for the power table, a few powers by p
+        assert len(products) <= 293 + ws.ring.r + 40
+    finally:
+        construct_ring.cache_clear()
+        powers_of.cache_clear()
