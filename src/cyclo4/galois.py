@@ -485,26 +485,8 @@ def _scan_for_order_p(ring: GaloisRing, p: int) -> GaloisRingElement:
 
 @lru_cache(maxsize=128)
 def powers_of(x: GaloisRingElement, count: int) -> tuple:
-    """(x**0, x**1, ..., x**(count-1)), built incrementally and cached.
-
-    The chain of products stops at the first k >= 1 with x**k = 1 or
-    x**k = -1, computed; the rest is periodic, x**(qk + j) = (x**k)**q *
-    x**j = (+-1)**q * x**j, and is filled by copies and negations. For
-    gamma of order 2p (gamma**p = -1), 2p entries take p - 1 products.
-    """
-    ring = x.ring
-    one, minus_one = ring.one.packed, ring.embed(3).packed
-    mul, a = ring._mul_packed, x.packed
-    out = [ring.one]
-    t = a
-    while len(out) < count:
-        if t == one or t == minus_one:
-            k = len(out)
-            for j in range(k, count):
-                q, base = divmod(j, k)
-                out.append(out[base] if t == one or not q % 2 else -out[base])
-            break
-        out.append(GaloisRingElement(ring, t))
-        if len(out) < count:
-            t = mul(t, a)
+    """(x**0, x**1, ..., x**(count-1)) by one product per entry, cached."""
+    out = [x.ring.one]
+    for _ in range(count - 1):
+        out.append(out[-1] * x)
     return tuple(out)

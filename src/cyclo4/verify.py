@@ -6,7 +6,9 @@ satisfied by the class sum S0(gamma), its explicit values by residue
 class, the evaluation spectrum of the generating polynomial at the
 order-2p units, the factorizations of X**p + 1 and X**p - 1 into class
 products, and the guard example showing that vanishing at every power of
-gamma does not imply divisibility by X**2p - 1 over Z4.
+gamma does not imply divisibility by X**2p - 1 over Z4. Apart from the
+capped factorization check, no table of the powers of gamma is kept: the
+values read are Z4 combinations of four class sums.
 
 A report is a list of uniform check entries so the command-line front end
 can render one line per check and reflect failures in its exit status.
@@ -59,18 +61,18 @@ class LemmaReport:
 
 @dataclass(frozen=True)
 class NormalizedGamma:
-    """An order-2p unit whose class sum over D0 is a unit, with its powers.
+    """An order-2p unit whose class sum over D0 is a unit, with its class sums.
 
     When the class sum of the original gamma is not a unit, gamma is
     replaced by gamma**v for the smallest v in D1, which swaps the roles
     of the two odd classes; the exponent records the substitution.
-    ``powers`` is (gamma**0, ..., gamma**(2p-1)) for the returned gamma.
+    ``sums`` maps D0, D1, E0 and E1 to the sum of gamma**u over the class.
     """
 
     gamma: GaloisRingElement
     s0: GaloisRingElement
     exponent: int
-    powers: tuple = field(repr=False)
+    sums: dict = field(repr=False)
 
     @property
     def replaced(self) -> bool:
@@ -84,71 +86,73 @@ def normalize_gamma(
 
     The two class sums add to 1, so they cannot both be non-units; the
     substitution is therefore always available and deterministic. As
-    gamma**(2p) = 1 (``find_gamma`` makes it so and ``check_gamma`` checks
-    it), the powers of gamma**v are the powers of gamma at v*k mod 2p.
+    gamma**p = -1 (``find_gamma`` makes it so and ``check_gamma`` checks
+    it), one chain of p - 2 products gives the sums: gamma**k, k < p, is
+    added to the sum of the class of k and subtracted from that of k + p.
+    v is a unit mod 2p, so u -> v*u maps a class C one to one onto v*C,
+    and the sums of gamma**v are those of gamma over the classes v*C.
     """
-    n = 2 * classes.p
-    raw = powers_of(gamma, n)
-    s0 = ring.sum(raw[u] for u in classes.d0)
-    s1 = ring.sum(raw[u] for u in classes.d1)
-    if s0 + s1 != ring.one:
+    p, labels = classes.p, classes.labels
+    blocks = {"D0": classes.d0, "D1": classes.d1, "E0": classes.e0, "E1": classes.e1}
+    sums = dict.fromkeys(blocks, ring.zero)
+    t = gamma
+    for k in range(1, p):
+        t = t * gamma if k > 1 else t
+        sums[labels[k].value] += t
+        sums[labels[k + p].value] -= t
+    if sums["D0"] + sums["D1"] != ring.one:
         raise RuntimeError("internal: class sums over D0 and D1 do not add to 1")
-    if s0.is_unit():
-        return NormalizedGamma(gamma=gamma, s0=s0, exponent=1, powers=raw)
+    if sums["D0"].is_unit():
+        return NormalizedGamma(gamma=gamma, s0=sums["D0"], exponent=1, sums=sums)
     v = min(classes.d1)
-    powers = tuple(raw[v * k % n] for k in range(n))
-    s0_new = ring.sum(powers[u] for u in classes.d0)
-    if not s0_new.is_unit():
+    name_of = {block: name for name, block in blocks.items()}
+    moved = {}
+    for name, block in blocks.items():
+        image = frozenset(v * u % (2 * p) for u in block)
+        if image not in name_of:
+            raise RuntimeError(f"internal: {v}*{name} is not a class")
+        moved[name] = sums[name_of[image]]
+    if not moved["D0"].is_unit():
         raise RuntimeError("internal: neither class sum is a unit")
-    return NormalizedGamma(gamma=powers[1], s0=s0_new, exponent=v, powers=powers)
+    return NormalizedGamma(gamma=gamma**v, s0=moved["D0"], exponent=v, sums=moved)
 
 
 class _Workspace:
-    """Everything the per-prime checks share: ring, classes, gamma, powers."""
+    """Everything the per-prime checks share: ring, classes, gamma, its class sums."""
 
     def __init__(self, p: int):
         require_odd_prime(p)
         self.p = p
         self.classes = build_classes(p)
         self.ring = construct_ring(p)
-        self.beta, raw_gamma = find_gamma(self.ring, p)
-        self.raw_gamma = raw_gamma
-        self.normalized = normalize_gamma(self.ring, self.classes, raw_gamma)
+        self.beta, self.raw_gamma = find_gamma(self.ring, p)
+        self.normalized = normalize_gamma(self.ring, self.classes, self.raw_gamma)
         self.gamma = self.normalized.gamma
-        self.powers = self.normalized.powers
         self.seq = generate_sequence(p, self.classes)
-
-    def sequence_value(self, v: int) -> GaloisRingElement:
-        """S(gamma**v) = sum over u of s_u * gamma**(u*v), via the cached power table."""
-        n = 2 * self.p
-        ring, powers, values = self.ring, self.powers, self.seq.values
-        s1, s2, s3 = (
-            ring.sum([powers[u * v % n] for u, s in enumerate(values) if s == k])
-            for k in (1, 2, 3)
-        )
-        return s1 + s2 + s2 - s3  # s1 + 2*s2 + 3*s3, as 3 = -1
 
 
 def check_gamma(ws: _Workspace) -> CheckResult:
-    """Order facts for beta and gamma plus the distinct-power unit property."""
+    """Order facts for beta and gamma plus the distinct-power unit property.
+
+    gamma**a - gamma**b = gamma**b (gamma**(a-b) - 1), so gamma**d - 1 must
+    be a unit for all d != 0 (mod p), and d = 1 decides it. gamma**p = -1
+    gives y = -gamma with y**p = 1, so y is Teichmüller (a unit is xi*(1+2a)
+    and (1+2a)**p = 1+2a) of order 1 or p, and mod 2 gamma**d - 1 is
+    y**d + 1, nonzero for every such d or for none.
+    """
     problems = []
     ring, p = ws.ring, ws.p
     if ws.beta**p != ring.one or ws.beta == ring.one:
         problems.append("beta does not have order p")
-    if ws.raw_gamma**p != ring.embed(3):
+    gamma_p = ws.raw_gamma**p
+    if gamma_p != ring.embed(3):
         problems.append("gamma**p != -1")
-    if ws.raw_gamma ** (2 * p) != ring.one:
+    if gamma_p * gamma_p != ring.one:
         problems.append("gamma**(2p) != 1")
     if not ws.normalized.s0.is_unit():
         problems.append("normalized class sum is not a unit")
-    # gamma^a - gamma^b = gamma^b (gamma^(a-b) - 1) and gamma^b is a unit, so
-    # the pairs reduce to the differences d = a - b. The first failing pair
-    # of the pairwise scan is (0, d) for the least failing d.
-    one = ring.one
-    for d in range(2 * p):
-        if d % p and not (ws.powers[d] - one).is_unit():
-            problems.append(f"gamma^0 - gamma^{d} is not a unit")
-            break
+    if not (ws.gamma - ring.one).is_unit():  # where the pairwise scan first fails
+        problems.append("gamma^0 - gamma^1 is not a unit")
     detail = problems[0] if problems else (
         f"beta^p=1, gamma^p=-1, gamma^2p=1, distinct powers differ by units"
         + ("" if not ws.normalized.replaced else
@@ -280,19 +284,26 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
     = S(gamma**v). Each class is the <g**2>-orbit of its least element,
     so S is constant on it, and one value per class, at that least
     element (where the full scan would first fail), decides the table.
+
+    As gamma**p = -1, S(1) = sum_u s_u and S(gamma**p) = sum_u (-1)**u s_u.
+    Once the checks above pass and the classes partition Z_2p minus {0, p},
+    s_u = s_C on each class C, and for v in a class u -> u*v maps C one to
+    one onto the class T of v*min(C): both are <g**2>-orbits, of ord_p(g**2)
+    elements each. So S(gamma**v) = s_0 + (-1)**v s_p plus, over the classes
+    C, s_C times the class sum of T.
     """
     ring, p, classes = ws.ring, ws.p, ws.classes
     n = 2 * p
     s0 = ws.normalized.s0
+    seq = ws.seq.values
     problems = []
-    value = ws.sequence_value(0)
+    value = ring.embed(sum(seq))
     if value != ring.embed((p + 1) % 4):
         problems.append(f"S(1) = {value}, want {(p + 1) % 4}")
-    value = ws.sequence_value(p)
+    value = ring.embed(sum(seq[0::2]) - sum(seq[1::2]))
     if value != ring.embed(2):
         problems.append(f"S(gamma^p) = {value}, want 2")
     g2 = classes.g * classes.g % n
-    seq = ws.seq.values
     blocks = (("D0", classes.d0), ("D1", classes.d1), ("E0", classes.e0), ("E1", classes.e1))
     if math.gcd(g2, n) != 1:
         problems.append(f"g^2 = {g2} is not a unit mod {n}")
@@ -306,10 +317,17 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
             t = t * g2 % n
         if frozenset(orbit) != block:
             problems.append(f"{name} is not the <g^2>-orbit of {min(block)}")
+    if sorted(u for _, block in blocks for u in block) != [u for u in range(n) if u % p]:
+        problems.append(f"D0, D1, E0, E1 do not partition Z_{n} minus 0 and p")
     if problems:
         # one value per class stands for the class only once the orbits hold
         return CheckResult("lemma8", CheckStatus.FAIL, problems[0])
-    values = {name: ws.sequence_value(min(block)) for name, block in blocks}
+    sums, label = ws.normalized.sums, {u: name for name, block in blocks for u in block}
+    least = [min(block) for _, block in blocks]
+    values = {}
+    for (name, _), v in zip(blocks, least):
+        terms = [sums[label[v * m % n]] for m in least for _ in range(seq[m])]
+        values[name] = ring.sum([ring.embed(seq[0] + (-1) ** v * seq[p])] + terms)
     if p % 8 in (3, 5):
         two_s0 = s0 + s0
         expect = {
@@ -349,17 +367,17 @@ def check_factorizations(ws: _Workspace, expansion_cap: int | None = None) -> li
             CheckResult("factorization", CheckStatus.SKIP, note),
             CheckResult("lemma9", CheckStatus.SKIP, note),
         ]
+    powers = powers_of(ws.gamma, 2 * p)
 
     def root_product(block):
         acc = RingPolynomial(ring, [ring.one])
         for v in sorted(block):
-            acc = acc * RingPolynomial(ring, [-ws.powers[v], ring.one])
+            acc = acc * RingPolynomial(ring, [-powers[v], ring.one])
         return acc
 
-    gamma0 = root_product(classes.d0)
-    gamma1 = root_product(classes.d1)
-    lambda0 = root_product(classes.e0)
-    lambda1 = root_product(classes.e1)
+    gamma0, gamma1, lambda0, lambda1 = map(
+        root_product, (classes.d0, classes.d1, classes.e0, classes.e1)
+    )
 
     x_plus_1 = RingPolynomial(ring, [ring.one, ring.one])
     x_minus_1 = RingPolynomial(ring, [ring.embed(3), ring.one])
@@ -403,25 +421,22 @@ def check_roots_guard(ws: _Workspace) -> CheckResult:
 
     The witness X**2p - 1 + 2(X**p + 1) evaluates to zero at every power
     of gamma yet leaves the nonzero remainder 2X**p + 2 under division by
-    X**2p - 1.
+    X**2p - 1. At x = gamma**j it is 2 + 2x**p, and x**p = gamma**(jp) is 1
+    for even j and gamma**p for odd j, so two points stand for all 2p.
     """
     ring, p = ws.ring, ws.p
     n = 2 * p
     coeffs = [0] * (n + 1)
-    coeffs[0] = 1  # -1 + 2
-    coeffs[p] = 2
-    coeffs[n] = 1
+    coeffs[0], coeffs[p], coeffs[n] = 1, 2, 1  # X**0: -1 + 2
     witness = RingPolynomial.from_ints(Z4, coeffs)
     problems = []
-    two = ring.embed(2)
-    for j in range(n):
-        x = ws.powers[j * p % n]
-        value = two + x + x  # 2 + 2*x without a ring product
-        if value != ring.zero:
+    two, gamma_p = ring.embed(2), ws.gamma**p
+    for j, x in enumerate((ring.one, gamma_p)):
+        if two + x + x != ring.zero:  # 2 + 2*x without a ring product
             problems.append(f"witness does not vanish at gamma^{j}")
             break
-    for j in (0, 1, p):
-        if witness.evaluate(ws.powers[j]) != ring.zero:
+    for j, x in ((0, ring.one), (1, ws.gamma), (p, gamma_p)):
+        if witness.evaluate(x) != ring.zero:
             problems.append(f"Horner evaluation nonzero at gamma^{j}")
             break
     modulus = RingPolynomial.from_ints(Z4, [-1] + [0] * (n - 1) + [1])

@@ -20,13 +20,15 @@ product per coefficient; the scan for an element of order p powers every
 unit candidate in turn, without assuming X is Teichmüller; the
 Teichmüller test squares X r times; the power table is a plain chain of
 products, one per entry; and Lemmas 3 and 4/8 are checked by brute force,
-O(p**2), from every product set of the classes and from S(gamma**v)
-compared with its table entry for every v.
+O(p**2), from every product set of the classes and from S(gamma**v),
+summed over the power table of gamma for any period and any v, compared
+with its table entry for every v.
 """
 
 from __future__ import annotations
 
 from cyclo4 import f2
+from cyclo4.galois import powers_of
 
 
 def z4_solvable(rows: list[list[int]], rhs: list[int]) -> bool:
@@ -405,13 +407,25 @@ def lemma3_by_product_sets(classes) -> tuple[bool, str]:
     return not problems, problems[0] if problems else f"class relations {parts} hold"
 
 
+def sequence_value(ws, v: int):
+    """S(gamma**v) = sum over u of s_u * gamma**(u*v) for the workspace's
+    gamma and period, any v, summed over the 2p-entry power table."""
+    n = 2 * ws.p
+    ring, powers = ws.ring, powers_of(ws.gamma, n)
+    s1, s2, s3 = (
+        ring.sum([powers[u * v % n] for u, s in enumerate(ws.seq.values) if s == k])
+        for k in (1, 2, 3)
+    )
+    return s1 + s2 + s2 - s3  # s1 + 2*s2 + 3*s3, as 3 = -1
+
+
 def lemma8_by_value_table(ws) -> tuple[bool, str]:
     """Lemmas 4 and 8 by brute force, O(p**2): S(gamma**v) for all 2p
-    exponents v (``ws.sequence_value``), each compared with the table entry
+    exponents v (``sequence_value``), each compared with the table entry
     of its class in increasing v. Returns (passed, detail) with the
     library's texts."""
     ring, p, classes = ws.ring, ws.p, ws.classes
-    values = [ws.sequence_value(v) for v in range(2 * p)]
+    values = [sequence_value(ws, v) for v in range(2 * p)]
     s0 = ws.normalized.s0
     problems = []
     if values[0] != ring.embed((p + 1) % 4):

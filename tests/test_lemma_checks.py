@@ -118,11 +118,11 @@ def _blind_spot_period(ws) -> QuaternarySequence:
 def test_lemma8_rejects_a_period_not_fixed_by_g_squared(p):
     ws = _Workspace(p)
     sampled = _sampled_exponents(ws)
-    before = [ws.sequence_value(v) for v in sampled]
+    before = [oracles.sequence_value(ws, v) for v in sampled]
     ws.seq = _blind_spot_period(ws)
     # S keeps its value at every exponent the check evaluates it at, so only
     # the invariance s_(g^2 u) = s_u stands between this period and a PASS
-    assert [ws.sequence_value(v) for v in sampled] == before
+    assert [oracles.sequence_value(ws, v) for v in sampled] == before
     got = check_lemma4_lemma8(ws)
     assert got.status is CheckStatus.FAIL
     assert got.detail.startswith("s_(g^2 u) != s_u at u = ")
@@ -139,6 +139,19 @@ def test_lemma8_rejects_a_class_that_is_not_an_orbit(p):
     assert got.detail == f"D0 is not the <g^2>-orbit of {min(ws.classes.d0)}"
 
 
+@pytest.mark.parametrize("p", (7, 13, 17, 29))
+def test_lemma8_rejects_classes_that_do_not_partition(p):
+    # D1 = D0 and E1 = E0 are <g^2>-orbits, but they cover half of Z_2p
+    # twice, so the class sums no longer add up to the values of S
+    ws = _Workspace(p)
+    c = ws.classes
+    ws.classes = dataclasses.replace(c, d1=c.d0, e1=c.e0)
+    got = check_lemma4_lemma8(ws)
+    assert got.status is CheckStatus.FAIL
+    assert got.detail == f"D0, D1, E0, E1 do not partition Z_{2 * p} minus 0 and p"
+    assert not oracles.lemma8_by_value_table(ws)[0]
+
+
 @pytest.mark.parametrize("p", (31, 293))
 def test_lemma8_makes_a_bounded_number_of_ring_sums(p, monkeypatch):
     ws = _Workspace(p)
@@ -151,9 +164,10 @@ def test_lemma8_makes_a_bounded_number_of_ring_sums(p, monkeypatch):
 
     monkeypatch.setattr(GaloisRing, "sum", counting)
     assert check_lemma4_lemma8(ws).status is CheckStatus.PASS
-    # six values of S, three sums of at most 2p terms each
-    assert len(calls) <= 18
-    assert sum(calls) <= 6 * 2 * p
+    # four values of S from the class sums, one sum each of s_0 + s_p and
+    # at most three copies of each of the four class sums
+    assert len(calls) <= 4
+    assert all(terms <= 1 + 4 * 3 for terms in calls)
 
 
 def test_find_gamma_matches_the_scan_for_every_prime_below_500():

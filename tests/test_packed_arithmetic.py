@@ -2,6 +2,7 @@
 plain-Python oracles in ``oracles.py``."""
 
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -126,39 +127,50 @@ def test_sum_rejects_foreign_elements():
 def test_sequence_values_match_oracle_when_r_is_small(p):
     # S(gamma**v) sums up to 2p terms of at most 9 per slot, which exceeds
     # the slot width chosen for products when r is much smaller than p.
+    # The values are Z4 combinations of the streamed class sums: the sum of
+    # gamma**(u*v) over a class C is the class sum over v*C for every v
+    # nonzero mod p.
     ws = _Workspace(p)
+    n = 2 * p
     product_slot_bits = (9 * ws.ring.r).bit_length() + 1
-    assert 9 * 2 * p >= 1 << product_slot_bits
-    want = oracles.sequence_values([e.coords for e in ws.powers], list(ws.seq.values))
-    assert [ws.sequence_value(v).coords for v in range(2 * p)] == want
+    assert 9 * n >= 1 << product_slot_bits
+    powers = [e.coords for e in oracles.power_chain(ws.gamma, n)]
+    c, sums = ws.classes, ws.normalized.sums
+    for name, block in (("D0", c.d0), ("D1", c.d1), ("E0", c.e0), ("E1", c.e1)):
+        want = oracles.sequence_values(powers, [int(u in block) for u in range(n)])
+        assert sums[name].coords == want[1]
+        for v in range(n):
+            if v % p:
+                assert sums[c.labels[v * min(block) % n].value].coords == want[v], (name, v)
 
 
-def _with_powers(ws, powers):
+def _with_gamma(ws, gamma):
     return SimpleNamespace(
         ring=ws.ring, p=ws.p, beta=ws.beta, raw_gamma=ws.raw_gamma,
-        normalized=ws.normalized, powers=powers,
+        normalized=ws.normalized, gamma=gamma,
     )
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
 def test_check_gamma_agrees_with_pairwise_scan(p):
     ws = _Workspace(p)
-    assert oracles.pairwise_gamma_failure([e.coords for e in ws.powers], p) is None
+    table = [e.coords for e in powers_of(ws.gamma, 2 * p)]
+    assert oracles.pairwise_gamma_failure(table, p) is None
     assert check_gamma(ws).status is CheckStatus.PASS
-    # power tables of other units fail at the same first pair as the scan
-    failures = 0
-    for k in range(4, 4 + 40):
-        x = ws.ring.element([(k >> (2 * i)) & 3 for i in range(ws.ring.r)])
-        if not x.is_unit():
-            continue
-        powers = powers_of(x, 2 * p)
-        want = oracles.pairwise_gamma_failure([e.coords for e in powers], p)
-        got = check_gamma(_with_powers(ws, powers))
+    # every x with x**p = -1 is -beta**k, as the elements of order dividing p
+    # are the powers of beta; the one test of x - 1 fails where the scan
+    # fails, with its text, and only at x = -1
+    failures = []
+    for k in range(p):
+        x = -(ws.beta**k)
+        assert x**p == ws.ring.embed(3)
+        want = oracles.pairwise_gamma_failure([e.coords for e in powers_of(x, 2 * p)], p)
+        got = check_gamma(_with_gamma(ws, x))
         assert got.status is (CheckStatus.PASS if want is None else CheckStatus.FAIL)
         if want is not None:
-            failures += 1
+            failures.append(k)
             assert got.detail == want
-    assert failures
+    assert failures == [0]
 
 
 def test_construct_ring_tests_the_modulus_once(monkeypatch):
@@ -296,8 +308,23 @@ def test_ring_setup_makes_a_bounded_number_of_products(products):
         assert len(products) <= ring.r + 40
         products.clear()
         ws = _Workspace(293)
-        # the ring's r - 9 squarings, p - 1 for the power table, a few powers by p
-        assert len(products) <= 293 + ws.ring.r + 40
+        # the ring's r - 9 squarings, two powers by p of 11 products each,
+        # and p - 2 for the chain of the class sums
+        assert len(products) <= (ws.ring.r - 9) + 22 + (293 - 2)
     finally:
         construct_ring.cache_clear()
         powers_of.cache_clear()
+
+
+def test_workspace_memory_stays_linear_in_r():
+    # r = 1018: a 2p-entry power table of gamma alone takes about 4 MB; the
+    # four class sums and the chain's current power take about 0.3 MB
+    construct_ring(1019)
+    powers_of.cache_clear()
+    tracemalloc.start()
+    try:
+        _Workspace(1019)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

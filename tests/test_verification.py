@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+import oracles
 from cyclo4 import verify
 from cyclo4.cyclotomy import build_classes
 from cyclo4.galois import Z4, construct_ring, find_gamma, powers_of
@@ -13,6 +16,7 @@ from cyclo4.verify import (
     check_factorizations,
     check_lemma3,
     check_lemma5,
+    check_roots_guard,
     full_report,
     normalize_gamma,
     _Workspace,
@@ -45,12 +49,18 @@ class TestNormalization:
 
     @pytest.mark.parametrize("p", (7, 23, 47, 71, 79, 89, 103, 113, 137, 151, 191, 199))
     def test_replaced_table_is_reindexed_raw_table(self, p):
-        # the odd primes <= 199 whose gamma is replaced: the reindexed raw
-        # table must equal the replacement's table built by multiplication
+        # the odd primes <= 199 whose gamma is replaced: the raw class sums,
+        # permuted, must equal the replacement's sums over its power table
+        # built by multiplication
         ws = _Workspace(p)
         assert ws.normalized.replaced
         assert ws.gamma == ws.raw_gamma**ws.normalized.exponent
-        assert ws.powers == powers_of.__wrapped__(ws.gamma, 2 * p)
+        pw = powers_of.__wrapped__(ws.gamma, 2 * p)
+        c = ws.classes
+        blocks = {"D0": c.d0, "D1": c.d1, "E0": c.e0, "E1": c.e1}
+        assert ws.normalized.sums == {
+            name: ws.ring.sum([pw[u] for u in block]) for name, block in blocks.items()
+        }
 
     def test_unit_sum_left_unchanged(self):
         # p = 3: S0(gamma) = gamma = 3w is already a unit
@@ -73,36 +83,39 @@ class TestIndividualChecks:
         # p = 7 is -1 mod 8: zero off E1, two on E1
         ws = workspaces[7]
         for v in ws.classes.e1:
-            assert ws.sequence_value(v) == ws.ring.embed(2)
+            assert oracles.sequence_value(ws, v) == ws.ring.embed(2)
         for v in ws.classes.d0 | ws.classes.d1 | ws.classes.e0:
-            assert ws.sequence_value(v) == ws.ring.zero
+            assert oracles.sequence_value(ws, v) == ws.ring.zero
         # p = 5 is -3 mod 8: constant 3 on the even classes
         ws = workspaces[5]
         for v in ws.classes.e0 | ws.classes.e1:
-            assert ws.sequence_value(v) == ws.ring.embed(3)
+            assert oracles.sequence_value(ws, v) == ws.ring.embed(3)
 
     def test_spectrum_agrees_with_horner_evaluation(self, workspaces):
         for p in (3, 5, 7):
             ws = workspaces[p]
             poly = generating_polynomial(ws.seq)
+            pw = powers_of(ws.gamma, 2 * p)
             for v in range(2 * p):
-                assert ws.sequence_value(v) == poly.evaluate(ws.powers[v])
+                assert oracles.sequence_value(ws, v) == poly.evaluate(pw[v])
 
     def test_spectrum_anchor_values(self, workspaces):
         # S(1) = p + 1 and S(gamma^p) = 2, reduced mod 4
         for p in (3, 5, 7, 17):
             ws = workspaces[p]
             poly = generating_polynomial(ws.seq)
-            assert poly.evaluate(ws.powers[0]) == ws.ring.embed((p + 1) % 4)
-            assert poly.evaluate(ws.powers[p]) == ws.ring.embed(2)
+            pw = powers_of(ws.gamma, 2 * p)
+            assert poly.evaluate(pw[0]) == ws.ring.embed((p + 1) % 4)
+            assert poly.evaluate(pw[p]) == ws.ring.embed(2)
 
     def test_p3_factorization_by_hand(self, workspaces):
         # (X + 1)(X - gamma)(X - gamma^5) = X^3 + 1 in GR(4^2, 4)
         ws = workspaces[3]
         ring = ws.ring
         x_plus_1 = RingPolynomial(ring, [ring.one, ring.one])
-        f1 = RingPolynomial(ring, [-ws.powers[1], ring.one])
-        f5 = RingPolynomial(ring, [-ws.powers[5], ring.one])
+        pw = powers_of(ws.gamma, 2 * ws.p)
+        f1 = RingPolynomial(ring, [-pw[1], ring.one])
+        f5 = RingPolynomial(ring, [-pw[5], ring.one])
         expected = RingPolynomial.monomial(ring, 3) + RingPolynomial(ring, [ring.one])
         assert x_plus_1 * f1 * f5 == expected
 
@@ -130,12 +143,21 @@ class TestRootsGuard:
         coeffs = [0] * (n + 1)
         coeffs[0], coeffs[p], coeffs[n] = 1, 2, 1   # X^2p - 1 + 2(X^p + 1)
         witness = RingPolynomial.from_ints(Z4, coeffs)
-        for j in range(n):
-            assert witness.evaluate(ws.powers[j]) == ws.ring.zero
+        for x in powers_of(ws.gamma, n):
+            assert witness.evaluate(x) == ws.ring.zero
         modulus = RingPolynomial.from_ints(Z4, [-1] + [0] * (n - 1) + [1])
         _, rem = divmod(witness, modulus)
         assert not rem.is_zero
         assert rem == RingPolynomial.from_ints(Z4, [2] + [0] * (p - 1) + [2])
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_vanishing_is_checked_at_gamma_to_the_p(self, p, workspaces):
+        # 2**p = 0, so the witness 2x**p + 2 at x = 2 is 2: the vanishing
+        # first fails at gamma^1, where gamma**p stands for every odd j
+        ring = workspaces[p].ring
+        got = check_roots_guard(SimpleNamespace(ring=ring, p=p, gamma=ring.embed(2)))
+        assert got.status is CheckStatus.FAIL
+        assert got.detail == "witness does not vanish at gamma^1"
 
     def test_division_refuses_non_unit_leads_rather_than_guessing(self):
         # no code path may divide by 2X - 2 even though 1 and 3 are roots
