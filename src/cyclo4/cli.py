@@ -49,21 +49,14 @@ def _expansion_cap() -> int | None:
 
 def cmd_classes(args) -> int:
     c = build_classes(args.p)
+    blocks = {name: sorted(block) for name, block in c.blocks.items()}
     if args.format == "json":
-        obj = {
-            "p": c.p,
-            "g": c.g,
-            "D0": sorted(c.d0),
-            "D1": sorted(c.d1),
-            "E0": sorted(c.e0),
-            "E1": sorted(c.e1),
-        }
-        sys.stdout.write(_emit_json(obj))
+        sys.stdout.write(_emit_json({"p": c.p, "g": c.g, **blocks}))
     else:
         print(f"p = {c.p}")
         print(f"g = {c.g}")
-        for name, block in (("D0", c.d0), ("D1", c.d1), ("E0", c.e0), ("E1", c.e1)):
-            print(f"{name} = {sorted(block)}")
+        for name, block in blocks.items():
+            print(f"{name} = {block}")
     return EXIT_OK
 
 
@@ -133,7 +126,7 @@ def cmd_sweep(args) -> int:
         records.append(
             {
                 "p": p,
-                "residue_class": classify_prime(p).label,
+                "residue_class": classify_prime(p).value,
                 "r": ord2_mod_p(p),
                 "lc_theorem": lc_thm,
                 "lc_reeds_sloane": lc_rs,

@@ -5,24 +5,15 @@ mod p and mod 2p (for odd g the two conditions coincide, but both are
 checked). The even powers of g mod 2p form D0, the odd powers D1, and
 their doubles E0, E1; together with {0, p} the four classes partition
 Z_2p. D0 and D1 exhaust the odd residues other than p, E0 and E1 the
-even residues other than 0.
+even residues other than 0. The four frozensets are the only record of
+the classes; everything that asks which class a residue is in reads them.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .primes import factorize, require_odd_prime
-
-
-class ClassLabel(enum.Enum):
-    D0 = "D0"
-    D1 = "D1"
-    E0 = "E0"
-    E1 = "E1"
-    ZERO = "0"
-    P = "p"
 
 
 def _order_is(g: int, modulus: int, target: int, target_factors) -> bool:
@@ -56,29 +47,11 @@ class GeneralizedCyclotomy:
     d1: frozenset[int]
     e0: frozenset[int]
     e1: frozenset[int]
-    labels: tuple = field(repr=False)
 
-    def class_of(self, v: int) -> ClassLabel:
-        if not 0 <= v < 2 * self.p:
-            raise ValueError(f"residue {v} outside Z_{2 * self.p}")
-        return self.labels[v]
-
-    def members(self, label: ClassLabel) -> tuple[int, ...]:
-        """Sorted residues of a class (ZERO and P give their singletons)."""
-        if label is ClassLabel.ZERO:
-            return (0,)
-        if label is ClassLabel.P:
-            return (self.p,)
-        return tuple(
-            sorted(
-                {
-                    ClassLabel.D0: self.d0,
-                    ClassLabel.D1: self.d1,
-                    ClassLabel.E0: self.e0,
-                    ClassLabel.E1: self.e1,
-                }[label]
-            )
-        )
+    @property
+    def blocks(self) -> dict[str, frozenset[int]]:
+        """The classes by name, in the order D0, D1, E0, E1."""
+        return {"D0": self.d0, "D1": self.d1, "E0": self.e0, "E1": self.e1}
 
     def d_class(self, i: int) -> frozenset[int]:
         return (self.d0, self.d1)[i % 2]
@@ -109,22 +82,11 @@ def build_classes(p: int) -> GeneralizedCyclotomy:
     e0 = {2 * u % n for u in d0}
     e1 = {2 * u % n for u in d1}
 
-    labels = [None] * n
-    for block, lab in (
-        (d0, ClassLabel.D0),
-        (d1, ClassLabel.D1),
-        (e0, ClassLabel.E0),
-        (e1, ClassLabel.E1),
-        ({0}, ClassLabel.ZERO),
-        ({p}, ClassLabel.P),
-    ):
-        for v in block:
-            if labels[v] is not None:
-                raise RuntimeError(f"internal: residue {v} assigned to two classes")
-            labels[v] = lab
-    if any(lab is None for lab in labels):
+    blocks = (d0, d1, e0, e1)
+    if set().union(*blocks) | {0, p} != set(range(n)):
         raise RuntimeError("internal: class construction does not cover Z_2p")
-    if not (len(d0) == len(d1) == len(e0) == len(e1) == half):
+    # 4 * (p - 1)/2 + 2 = 2p residues covering Z_2p: no residue is in two classes
+    if any(len(block) != half for block in blocks):
         raise RuntimeError("internal: class cardinalities are off")
 
     return GeneralizedCyclotomy(
@@ -134,5 +96,4 @@ def build_classes(p: int) -> GeneralizedCyclotomy:
         d1=frozenset(d1),
         e0=frozenset(e0),
         e1=frozenset(e1),
-        labels=tuple(labels),
     )

@@ -46,10 +46,6 @@ class ResidueClass(enum.Enum):
     NINE_MOD_16 = "9 mod 16"
     SEVEN_MOD_16 = "7 mod 16 (-9)"
 
-    @property
-    def label(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class LfsrResult:

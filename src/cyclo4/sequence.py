@@ -1,6 +1,6 @@
 """The period-2p quaternary sequence and its generating polynomial.
 
-One period maps residues through their cyclotomic class: 0 on {0} and D0,
+One period is filled from the four cyclotomic classes: 0 on {0} and D0,
 1 on D1, 2 on {p} and E0, 3 on E1. The generating polynomial collects one
 period as coefficients over Z4; the class indicator polynomials S0, S1,
 T0, T1 assemble it as 2*X**p + S1 + 2*T0 + 3*T1.
@@ -10,19 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomy import ClassLabel, GeneralizedCyclotomy, build_classes
+from .cyclotomy import GeneralizedCyclotomy, build_classes
 from .galois import Z4
 from .primes import require_odd_prime
 from .ringpoly import RingPolynomial
-
-_VALUE_BY_CLASS = {
-    ClassLabel.ZERO: 0,
-    ClassLabel.D0: 0,
-    ClassLabel.D1: 1,
-    ClassLabel.P: 2,
-    ClassLabel.E0: 2,
-    ClassLabel.E1: 3,
-}
 
 
 @dataclass(frozen=True)
@@ -53,8 +44,12 @@ def generate_sequence(p: int, classes: GeneralizedCyclotomy | None = None) -> Qu
     c = classes if classes is not None else build_classes(p)
     if c.p != p:
         raise ValueError("classes built for a different p")
-    values = tuple(_VALUE_BY_CLASS[c.class_of(u)] for u in range(2 * p))
-    return QuaternarySequence(p=p, values=values)
+    values = [0] * (2 * p)
+    values[p] = 2
+    for block, value in ((c.d1, 1), (c.e0, 2), (c.e1, 3)):
+        for u in block:
+            values[u] = value
+    return QuaternarySequence(p=p, values=tuple(values))
 
 
 def generating_polynomial(s) -> RingPolynomial:

@@ -92,14 +92,14 @@ def normalize_gamma(
     v is a unit mod 2p, so u -> v*u maps a class C one to one onto v*C,
     and the sums of gamma**v are those of gamma over the classes v*C.
     """
-    p, labels = classes.p, classes.labels
-    blocks = {"D0": classes.d0, "D1": classes.d1, "E0": classes.e0, "E1": classes.e1}
+    p, blocks = classes.p, classes.blocks
+    class_name = {u: name for name, block in blocks.items() for u in block}
     sums = dict.fromkeys(blocks, ring.zero)
     t = gamma
     for k in range(1, p):
         t = t * gamma if k > 1 else t
-        sums[labels[k].value] += t
-        sums[labels[k + p].value] -= t
+        sums[class_name[k]] += t
+        sums[class_name[k + p]] -= t
     if sums["D0"] + sums["D1"] != ring.one:
         raise RuntimeError("internal: class sums over D0 and D1 do not add to 1")
     if sums["D0"].is_unit():
@@ -138,17 +138,15 @@ def check_gamma(ws: _Workspace) -> CheckResult:
     be a unit for all d != 0 (mod p), and d = 1 decides it. gamma**p = -1
     gives y = -gamma with y**p = 1, so y is Teichmüller (a unit is xi*(1+2a)
     and (1+2a)**p = 1+2a) of order 1 or p, and mod 2 gamma**d - 1 is
-    y**d + 1, nonzero for every such d or for none.
+    y**d + 1, nonzero for every such d or for none. gamma**2p = 1 needs
+    no product of its own: it follows from gamma**p = -1.
     """
     problems = []
     ring, p = ws.ring, ws.p
     if ws.beta**p != ring.one or ws.beta == ring.one:
         problems.append("beta does not have order p")
-    gamma_p = ws.raw_gamma**p
-    if gamma_p != ring.embed(3):
+    if ws.raw_gamma**p != ring.embed(3):
         problems.append("gamma**p != -1")
-    if gamma_p * gamma_p != ring.one:
-        problems.append("gamma**(2p) != 1")
     if not ws.normalized.s0.is_unit():
         problems.append("normalized class sum is not a unit")
     if not (ws.gamma - ring.one).is_unit():  # where the pairwise scan first fails
@@ -304,29 +302,31 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
     if value != ring.embed(2):
         problems.append(f"S(gamma^p) = {value}, want 2")
     g2 = classes.g * classes.g % n
-    blocks = (("D0", classes.d0), ("D1", classes.d1), ("E0", classes.e0), ("E1", classes.e1))
+    blocks = classes.blocks
     if math.gcd(g2, n) != 1:
         problems.append(f"g^2 = {g2} is not a unit mod {n}")
     bad = next((u for u in range(n) if seq[g2 * u % n] != seq[u]), None)
     if bad is not None:
         problems.append(f"s_(g^2 u) != s_u at u = {bad}")
-    for name, block in blocks:
+    for name, block in blocks.items():
         orbit, t = [], min(block)
         for _ in range(len(block)):
             orbit.append(t)
             t = t * g2 % n
         if frozenset(orbit) != block:
             problems.append(f"{name} is not the <g^2>-orbit of {min(block)}")
-    if sorted(u for _, block in blocks for u in block) != [u for u in range(n) if u % p]:
+    covered = sorted(u for block in blocks.values() for u in block)
+    if covered != [u for u in range(n) if u % p]:
         problems.append(f"D0, D1, E0, E1 do not partition Z_{n} minus 0 and p")
     if problems:
         # one value per class stands for the class only once the orbits hold
         return CheckResult("lemma8", CheckStatus.FAIL, problems[0])
-    sums, label = ws.normalized.sums, {u: name for name, block in blocks for u in block}
-    least = [min(block) for _, block in blocks]
+    sums = ws.normalized.sums
+    class_name = {u: name for name, block in blocks.items() for u in block}
+    least = [min(block) for block in blocks.values()]
     values = {}
-    for (name, _), v in zip(blocks, least):
-        terms = [sums[label[v * m % n]] for m in least for _ in range(seq[m])]
+    for name, v in zip(blocks, least):
+        terms = [sums[class_name[v * m % n]] for m in least for _ in range(seq[m])]
         values[name] = ring.sum([ring.embed(seq[0] + (-1) ** v * seq[p])] + terms)
     if p % 8 in (3, 5):
         two_s0 = s0 + s0
@@ -336,14 +336,14 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
             "E0": ring.embed(3),
             "E1": ring.embed(3),
         }
-        for name, block in blocks:
+        for name, block in blocks.items():
             if values[name] != expect[name]:
                 problems.append(f"S(gamma^{min(block)}) != expected on {name}")
             elif not values[name].is_unit():
                 problems.append(f"S(gamma^{min(block)}) is not a unit on {name}")
         detail_ok = "values match the p = +-3 (mod 8) table and are units"
     else:
-        for name, block in blocks:
+        for name, block in blocks.items():
             want = 2 if name == "E1" else 0
             if values[name] != ring.embed(want):
                 problems.append(f"S(gamma^{min(block)}) != {want} on {name}")
@@ -375,9 +375,7 @@ def check_factorizations(ws: _Workspace, expansion_cap: int | None = None) -> li
             acc = acc * RingPolynomial(ring, [-powers[v], ring.one])
         return acc
 
-    gamma0, gamma1, lambda0, lambda1 = map(
-        root_product, (classes.d0, classes.d1, classes.e0, classes.e1)
-    )
+    gamma0, gamma1, lambda0, lambda1 = map(root_product, classes.blocks.values())
 
     x_plus_1 = RingPolynomial(ring, [ring.one, ring.one])
     x_minus_1 = RingPolynomial(ring, [ring.embed(3), ring.one])

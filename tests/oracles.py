@@ -22,7 +22,8 @@ Teichmüller test squares X r times; the power table is a plain chain of
 products, one per entry; and Lemmas 3 and 4/8 are checked by brute force,
 O(p**2), from every product set of the classes and from S(gamma**v),
 summed over the power table of gamma for any period and any v, compared
-with its table entry for every v.
+with its table entry for every v. The period itself is rebuilt from
+Euler's criterion, without the cyclotomic classes.
 """
 
 from __future__ import annotations
@@ -407,6 +408,27 @@ def lemma3_by_product_sets(classes) -> tuple[bool, str]:
     return not problems, problems[0] if problems else f"class relations {parts} hold"
 
 
+def period_by_euler(p: int) -> tuple[int, ...]:
+    """One period from quadratic characters mod p alone.
+
+    The even powers of a primitive root are the quadratic residues mod p,
+    so an odd u != p is in D0 iff chi(u) = u**((p-1)/2) mod p is 1; an even
+    u != 0 is 2w mod 2p with w odd and chi(w) = chi(u)*chi(2), so it is in
+    E0 iff that is 1."""
+    def chi(u):
+        return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+
+    values = []
+    for u in range(2 * p):
+        if u % p == 0:
+            values.append(0 if u == 0 else 2)
+        elif u % 2:
+            values.append(0 if chi(u) == 1 else 1)
+        else:
+            values.append(2 if chi(u) * chi(2) == 1 else 3)
+    return tuple(values)
+
+
 def sequence_value(ws, v: int):
     """S(gamma**v) = sum over u of s_u * gamma**(u*v) for the workspace's
     gamma and period, any v, summed over the 2p-entry power table."""
@@ -432,7 +454,7 @@ def lemma8_by_value_table(ws) -> tuple[bool, str]:
         problems.append(f"S(1) = {values[0]}, want {(p + 1) % 4}")
     if values[p] != ring.embed(2):
         problems.append(f"S(gamma^p) = {values[p]}, want 2")
-    blocks = (("D0", classes.d0), ("D1", classes.d1), ("E0", classes.e0), ("E1", classes.e1))
+    blocks = classes.blocks.items()
     if p % 8 in (3, 5):
         two_s0 = s0 + s0
         expect = {

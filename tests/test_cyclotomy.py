@@ -1,6 +1,6 @@
 import pytest
 
-from cyclo4.cyclotomy import ClassLabel, build_classes, find_common_primitive_root
+from cyclo4.cyclotomy import build_classes, find_common_primitive_root
 from cyclo4.primes import factorize, odd_primes
 
 
@@ -36,6 +36,11 @@ class TestBuildClasses:
             frozenset({2}),
             frozenset({4}),
         )
+
+    def test_blocks_name_the_four_sets(self):
+        c = build_classes(7)
+        assert c.blocks == {"D0": c.d0, "D1": c.d1, "E0": c.e0, "E1": c.e1}
+        assert list(c.blocks) == ["D0", "D1", "E0", "E1"]
 
     def test_p5(self):
         c = build_classes(5)
@@ -92,26 +97,6 @@ def _next_common_root(p, after):
         ) and pow(g, target, p) == 1 and pow(g, target, 2 * p) == 1:
             return g
         g += 2
-
-
-class TestClassOf:
-    def test_fixed_points(self):
-        c = build_classes(7)
-        assert c.class_of(0) is ClassLabel.ZERO
-        assert c.class_of(7) is ClassLabel.P
-        assert c.class_of(12) is ClassLabel.E1
-
-    def test_rejects_out_of_range(self):
-        c = build_classes(7)
-        with pytest.raises(ValueError):
-            c.class_of(14)
-
-    def test_label_agrees_with_sets(self):
-        for p in (5, 11, 13):
-            c = build_classes(p)
-            for v in range(2 * p):
-                label = c.class_of(v)
-                assert v in set(c.members(label))
 
 
 class TestCyclotomicNumbers:

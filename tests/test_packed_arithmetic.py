@@ -135,13 +135,14 @@ def test_sequence_values_match_oracle_when_r_is_small(p):
     product_slot_bits = (9 * ws.ring.r).bit_length() + 1
     assert 9 * n >= 1 << product_slot_bits
     powers = [e.coords for e in oracles.power_chain(ws.gamma, n)]
-    c, sums = ws.classes, ws.normalized.sums
-    for name, block in (("D0", c.d0), ("D1", c.d1), ("E0", c.e0), ("E1", c.e1)):
+    blocks, sums = ws.classes.blocks, ws.normalized.sums
+    class_name = {u: name for name, block in blocks.items() for u in block}
+    for name, block in blocks.items():
         want = oracles.sequence_values(powers, [int(u in block) for u in range(n)])
         assert sums[name].coords == want[1]
         for v in range(n):
             if v % p:
-                assert sums[c.labels[v * min(block) % n].value].coords == want[v], (name, v)
+                assert sums[class_name[v * min(block) % n]].coords == want[v], (name, v)
 
 
 def _with_gamma(ws, gamma):

@@ -1,7 +1,9 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 
+import oracles
 from cyclo4.cyclotomy import build_classes
 from cyclo4.galois import Z4, construct_ring, find_gamma, powers_of
 from cyclo4.primes import odd_primes
@@ -53,6 +55,18 @@ class TestGeneration:
             QuaternarySequence(p=3, values=(0, 0, 2, 0, 3, 1))  # anchor s_p
         with pytest.raises(ValueError):
             QuaternarySequence(p=3, values=(0, 0, 2, 2, 4, 1))  # alphabet
+
+    def test_matches_the_euler_criterion_oracle(self):
+        for p in odd_primes(3, 499):
+            assert generate_sequence(p).values == oracles.period_by_euler(p), p
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 17])
+    def test_follows_replaced_classes(self, p):
+        c = build_classes(p)
+        swapped = dataclasses.replace(c, d0=c.d1, d1=c.d0, e0=c.e1, e1=c.e0)
+        values = generate_sequence(p, swapped).values
+        assert {values[u] for u in c.d0} == {1}
+        assert {values[u] for u in c.e0} == {3}
 
     def test_classes_argument_must_match(self):
         with pytest.raises(ValueError):

@@ -56,10 +56,9 @@ class TestNormalization:
         assert ws.normalized.replaced
         assert ws.gamma == ws.raw_gamma**ws.normalized.exponent
         pw = powers_of.__wrapped__(ws.gamma, 2 * p)
-        c = ws.classes
-        blocks = {"D0": c.d0, "D1": c.d1, "E0": c.e0, "E1": c.e1}
         assert ws.normalized.sums == {
-            name: ws.ring.sum([pw[u] for u in block]) for name, block in blocks.items()
+            name: ws.ring.sum([pw[u] for u in block])
+            for name, block in ws.classes.blocks.items()
         }
 
     def test_unit_sum_left_unchanged(self):
