@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -35,16 +34,6 @@ CSV_HEADER = "p,residue_class,r,lc_theorem,lc_reeds_sloane,match,elapsed_ms"
 
 def _emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _expansion_cap() -> int | None:
-    raw = os.environ.get("CYCLO4_EXPANSION_CAP")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CYCLO4_EXPANSION_CAP must be an integer, got {raw!r}") from exc
 
 
 def cmd_classes(args) -> int:
@@ -81,7 +70,7 @@ def cmd_lc(args) -> int:
                     f"brute-force search is exponential; p > {BRUTE_FORCE_LIMIT} "
                     "needs --force"
                 )
-            result = brute_force_minimal(s, degree_cap=2 * p)
+            result = brute_force_minimal(s)
         else:
             result = reeds_sloane(s)
         lc, connection = result.lc, result.connection_ints()
@@ -99,7 +88,7 @@ def cmd_lc(args) -> int:
 
 def cmd_verify(args) -> int:
     only = None
-    if args.lemmas:
+    if args.lemmas is not None:
         only = set()
         for token in args.lemmas.split(","):
             token = token.strip()
@@ -109,7 +98,7 @@ def cmd_verify(args) -> int:
                     + ", ".join(sorted(set(CHECK_TOKENS)))
                 )
             only.add(CHECK_TOKENS[token])
-    report = full_report(args.p, expansion_cap=_expansion_cap(), only=only)
+    report = full_report(args.p, only=only)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 

@@ -24,7 +24,7 @@ from itertools import repeat
 from operator import attrgetter, is_
 
 from . import f2
-from .primes import factorize, require_odd_prime
+from .primes import require_odd_prime
 from .ringpoly import RingPolynomial
 
 
@@ -292,10 +292,6 @@ class GaloisRingElement:
             raise ValueError("element does not lie in the embedded Z4")
         return self.packed
 
-    def as_residue(self) -> "GaloisRingElement":
-        """An embedded constant as an element of :data:`Z4`."""
-        return Z4.embed(self.value)
-
     @property
     def is_embedded_constant(self) -> bool:
         return not self.packed >> self.ring._slot_bits
@@ -408,29 +404,6 @@ def construct_ring(p: int) -> GaloisRing:
     if not ring.x_is_teichmuller():
         raise RuntimeError("internal: modulus is not a Graeffe lift")
     return ring
-
-
-def multiplicative_order(x: GaloisRingElement, bound: int, factors=None) -> int:
-    """The least k >= 1 with x**k = 1, given a multiple ``bound`` of the order.
-
-    The bound is factored by trial division unless a factorization
-    {prime: exponent} is supplied; bounds above 2**64 require one.
-    """
-    if not x.is_unit():
-        raise ValueError("order is defined for units only")
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    if factors is None:
-        if bound > 1 << 64:
-            raise ValueError("bound too large to factor; supply its factorization")
-        factors = factorize(bound)
-    if x ** bound != x.ring.one:
-        raise ValueError("order does not divide the supplied bound")
-    k = bound
-    for q in factors:
-        while k % q == 0 and x ** (k // q) == x.ring.one:
-            k //= q
-    return k
 
 
 def find_gamma(ring: GaloisRing, p: int) -> tuple[GaloisRingElement, GaloisRingElement]:

@@ -14,11 +14,16 @@ independent routes compute it:
   W*u + (S mod 2)*v = 0 mod X**T - 1 over GF(2), where 2*W = S*lift(g)
   cyclically and v absorbs the lift carries of g*u. Under X -> 1/X the
   solutions of least degree are the vectors of least shifted degree in
-  a rank-2 GF(2)[X]-module, which a (deg g, 0)-shifted weak Popov
-  reduction of a 2x2 basis finds (Mulders and Storjohann, "On lattice
-  reduction for polynomial matrices", 2003). Minimality is exact, not
+  a rank-2 GF(2)[X]-module. Its basis [[h, c], [0, m']] is already in
+  (deg g, 0)-shifted weak Popov form (Mulders and Storjohann, "On
+  lattice reduction for polynomial matrices", 2003): g divides X**T + 1,
+  so g(0) = 1 and m' = rev(g) has degree exactly deg g, while c is
+  reduced mod m', so deg c < deg g <= deg h + deg g. Row 1 pivots
+  strictly on U and row 2 on V, so no reduction step is needed: the
+  linear complexity is deg h + deg g. Minimality is exact, not
   heuristic, by the predictable-degree property of that form. Each
-  period costs O(T) big-int row operations on bitmask polynomials.
+  period costs a few GF(2) gcds, divisions and products on bitmask
+  polynomials.
 * ``brute_force_minimal``: exhaustive search in lexicographic order,
   feasible for small periods; the independent oracle for the synthesis.
 * ``theorem_lc``: the closed form by the residue class of p mod 8/16.
@@ -202,12 +207,17 @@ def minimal_connection(period) -> tuple[int, list[int]]:
     coefficients (the common unit X**(n - 1) leaves K as it is). K has the
     basis [[h, c], [0, m']] with g1 = gcd(B, X**n + 1), m' = (X**n + 1)/g1,
     h = g1/gcd(A, g1) and c = (A/gcd(A, g1)) * (B/g1)**-1 mod m'; when
-    B = 0, g1 = X**n + 1, m' = 1 and c = 0. Reducing it to
-    (deg g, 0)-shifted weak Popov form (Mulders and Storjohann 2003), ties
-    pivoting on V, leaves one row whose pivot is U. By the
-    predictable-degree property no vector of K with pivot U has a smaller
-    shifted degree, so that row is the witness and its shifted degree is
-    the linear complexity.
+    B = 0, g1 = X**n + 1, m' = 1 and c = 0. This basis is already in
+    (deg g, 0)-shifted weak Popov form (Mulders and Storjohann 2003):
+
+    * g divides X**n + 1, so g(0) = 1 and m' = rev(g) has degree exactly
+      deg g;
+    * c is reduced mod m', so deg c < deg g <= deg h + deg g: row 1
+      pivots strictly on U, and row 2 = (0, m') pivots on V.
+
+    By the predictable-degree property no vector of K with pivot U has a
+    smaller shifted degree than (h, c), so that row is the witness and
+    the linear complexity is deg h + deg g.
     """
     values = _period_values(period)
     n = len(values)
@@ -235,47 +245,20 @@ def minimal_connection(period) -> tuple[int, list[int]]:
     common = f2.gcd(a, g1)
     h = f2.exact_div(g1, common)
     c = f2.mulmod(f2.exact_div(a, common), f2.inverse_mod(f2.exact_div(b, g1), m1), m1)
-    urev, vrev = _u_pivot_row((h, c), (0, m1), gdeg)
-    degree = f2.degree(urev) + gdeg
+    degree = f2.degree(h) + gdeg
     if degree > n:
         raise RuntimeError("internal: no annihilator up to the period length")
 
     # C0 + 2E = lift(g)*lift(u) over Z4; the v layer absorbs the carries E.
-    ulift = _lift_reversed(urev, degree - gdeg + 1)
+    ulift = _lift_reversed(h, degree - gdeg + 1)
     prod = _cyclic_product(glift, ulift, degree + 1)  # degree + 1 slots: no wrap
-    vlift = _lift_reversed(vrev, degree + 1)
+    vlift = _lift_reversed(c, degree + 1)
     coeffs = [(x + 2 * y) & 3 for x, y in zip(prod, vlift)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) - 1 != degree:
         raise RuntimeError("internal: witness degree disagrees with the search")
     return degree, coeffs
-
-
-def _u_pivot_row(r1: tuple[int, int], r2: tuple[int, int], shift: int) -> tuple[int, int]:
-    """The row with pivot U of the (shift, 0)-weak Popov form of [r1, r2].
-
-    A row (U, V) has shifted degree max(deg U + shift, deg V) and pivots
-    on V when deg V reaches it. While both rows pivot on the same entry,
-    the row of larger shifted degree loses its leading term to a shifted
-    copy of the other row (a simple transformation); each step lowers the
-    pair (shifted degree, pivot) of that row, so the loop ends.
-    """
-
-    def lead(row):
-        u, v = row
-        du = u.bit_length() - 1 + shift if u else -1
-        dv = v.bit_length() - 1
-        return (dv, 1) if dv >= du else (du, 0)
-
-    (d1, p1), (d2, p2) = lead(r1), lead(r2)
-    while p1 == p2:
-        if d1 < d2:
-            r1, r2, d1, d2 = r2, r1, d2, d1
-        k = d1 - d2
-        r1 = (r1[0] ^ (r2[0] << k), r1[1] ^ (r2[1] << k))
-        d1, p1 = lead(r1)
-    return r1 if p1 == 0 else r2
 
 
 def reeds_sloane(s) -> LfsrResult:
@@ -292,14 +275,14 @@ def reeds_sloane(s) -> LfsrResult:
     return LfsrResult(lc=lc, connection=RingPolynomial.from_ints(Z4, coeffs))
 
 
-def brute_force_minimal(s, degree_cap: int | None = None) -> LfsrResult:
+def brute_force_minimal(s) -> LfsrResult:
     """Exhaustive minimal connection polynomial, the independent oracle.
 
-    Degrees are tried in ascending order; at each degree the 4**L
-    coefficient vectors with constant term 1 are scanned in lexicographic
-    order (c1 most significant) and the first annihilator wins. The cap
-    defaults to the period, which always suffices since 1 + 3*X**n is a
-    connection polynomial of any period-n sequence.
+    Degrees are tried in ascending order up to the period n; at each
+    degree L the 4**L coefficient vectors with constant term 1 are scanned
+    in lexicographic order (c1 most significant) and the first annihilator
+    wins. Degree n always has one: 1 + 3*X**n annihilates any period-n
+    sequence.
 
     The residual S*C mod (X**n - 1, 4) is one int with a coefficient in
     every byte slot. Column k, the period rotated by k, is what c_k
@@ -310,15 +293,12 @@ def brute_force_minimal(s, degree_cap: int | None = None) -> LfsrResult:
     """
     values = _period_values(s)
     n = len(values)
-    cap = n if degree_cap is None else degree_cap
-    if cap < 0:
-        raise ValueError("degree cap must be nonnegative")
     if not any(values):
         return LfsrResult(lc=0, connection=RingPolynomial.from_ints(Z4, [1]))
 
     start = _pack(values, 1)
     mask = _pack(b"\x03" * n, 1)
-    for degree in range(1, cap + 1):
+    for degree in range(1, n + 1):
         shifts = [k % n for k in range(1, degree + 1)]
         columns = [_pack(values[-k:] + values[:-k], 1) for k in shifts]
         digits = [0] * degree
@@ -337,4 +317,4 @@ def brute_force_minimal(s, degree_cap: int | None = None) -> LfsrResult:
             return LfsrResult(
                 lc=degree, connection=RingPolynomial.from_ints(Z4, [1] + digits)
             )
-    raise ValueError(f"no connection polynomial of degree <= {cap} exists")
+    raise RuntimeError("internal: 1 + 3*X**n does not annihilate the period")

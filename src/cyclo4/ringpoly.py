@@ -131,19 +131,6 @@ class RingPolynomial:
                 out[i + j] = out[i + j] + a * b
         return RingPolynomial(self.ring, out)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("polynomial powers must be nonnegative")
-        result = RingPolynomial(self.ring, [self.ring.one])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def mod_cyclic(self, n: int) -> "RingPolynomial":
         """Remainder modulo X**n - 1: coefficient of X**i folds onto X**(i % n)."""
         if n < 1:
@@ -186,12 +173,6 @@ class RingPolynomial:
             for j, dj in terms:
                 rem[k + j] = rem[k + j] - c * dj
         return RingPolynomial(ring, quo), RingPolynomial(ring, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def evaluate(self, point):
         """Horner evaluation at a point of any characteristic-4 ring.

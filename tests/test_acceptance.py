@@ -119,7 +119,7 @@ def test_criterion_5_oracle_equivalence():
     ok = True
     for p in (3, 5, 7):
         s = generate_sequence(p)
-        brute = brute_force_minimal(s, degree_cap=2 * p)
+        brute = brute_force_minimal(s)
         synth = reeds_sloane(s)
         ok = ok and brute.lc == synth.lc
         ok = ok and verify_connection(s, brute.connection)
@@ -158,7 +158,7 @@ def test_criterion_7_factorizations():
     failures = []
     skipped_nine = 0
     for p in odd_primes(3, 61):
-        rep = full_report(p, only={"factorization", "lemma9"}, expansion_cap=61)
+        rep = full_report(p, only={"factorization", "lemma9"})
         by_id = {c.check_id: c for c in rep.checks}
         if by_id["factorization"].status is not CheckStatus.PASS:
             failures.append((p, "factorization"))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cyclo4.cli import CSV_HEADER, main
 
 
@@ -107,12 +109,18 @@ class TestVerify:
         assert out.startswith("lemma9 SKIP")
 
     def test_expansion_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CYCLO4_EXPANSION_CAP", "3")
-        code, out, _ = run(capsys, "verify", "--p", "5", "--lemmas", "factorization")
-        assert code == 0 and "SKIP" in out
-        monkeypatch.setenv("CYCLO4_EXPANSION_CAP", "not-a-number")
-        code, _, err = run(capsys, "verify", "--p", "5")
-        assert code == 1
+        # the cap is a constant: the former override variable is ignored
+        monkeypatch.delenv("CYCLO4_EXPANSION_CAP", raising=False)
+        unset = run(capsys, "verify", "--p", "5")
+        assert unset[0] == 0 and "factorization PASS" in unset[1]
+        for raw in ("3", "not-a-number"):
+            monkeypatch.setenv("CYCLO4_EXPANSION_CAP", raw)
+            assert run(capsys, "verify", "--p", "5") == unset
+
+    @pytest.mark.parametrize("lemmas", ["--lemmas=", "--lemmas=,"])
+    def test_rejects_empty_lemma_filter(self, capsys, lemmas):
+        code, out, err = run(capsys, "verify", "--p", "7", lemmas)
+        assert code == 1 and out == "" and "unknown check ''" in err
 
 
 class TestSweep:
@@ -173,7 +181,7 @@ class TestExitCodes:
         import cyclo4.cli as cli
         from cyclo4.verify import CheckResult, CheckStatus, LemmaReport
 
-        def fake_report(p, expansion_cap=None, only=None):
+        def fake_report(p, only=None):
             return LemmaReport(
                 p=p, checks=(CheckResult("lemma6", CheckStatus.FAIL, "forced"),)
             )
@@ -185,7 +193,7 @@ class TestExitCodes:
     def test_unexpected_error_maps_to_exit_3(self, capsys, monkeypatch):
         import cyclo4.cli as cli
 
-        def boom(p, expansion_cap=None, only=None):
+        def boom(p, only=None):
             raise RuntimeError("internal: synthetic")
 
         monkeypatch.setattr(cli, "full_report", boom)

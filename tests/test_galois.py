@@ -10,7 +10,6 @@ from cyclo4.galois import (
     construct_ring,
     find_gamma,
     lift_irreducible,
-    multiplicative_order,
     ord2_mod_p,
     powers_of,
 )
@@ -167,39 +166,9 @@ class TestElementArithmetic:
 
     def test_embedded_constant_extraction(self):
         ring = construct_ring(3)
-        assert ring.embed(2).as_residue() == Z4.embed(2)
+        assert ring.embed(2).value == 2
         with pytest.raises(ValueError):
-            ring.x.as_residue()
-
-
-class TestMultiplicativeOrder:
-    def test_omega_has_order_three(self):
-        ring = construct_ring(3)
-        assert multiplicative_order(ring.x, 6) == 3
-
-    def test_minus_one_has_order_two(self):
-        ring = construct_ring(3)
-        assert multiplicative_order(ring.embed(3), 2) == 2
-
-    def test_one_has_order_one(self):
-        ring = construct_ring(3)
-        assert multiplicative_order(ring.one, 12) == 1
-
-    def test_rejects_non_unit(self):
-        ring = construct_ring(3)
-        with pytest.raises(ValueError):
-            multiplicative_order(ring.embed(2), 8)
-
-    def test_rejects_non_multiple_bound(self):
-        ring = construct_ring(3)
-        with pytest.raises(ValueError):
-            multiplicative_order(ring.x, 4)
-
-    def test_huge_bound_needs_factorization(self):
-        ring = construct_ring(3)
-        with pytest.raises(ValueError):
-            multiplicative_order(ring.x, (1 << 65) * 3)
-        assert multiplicative_order(ring.one, (1 << 65) * 3, factors={2: 65, 3: 1}) == 1
+            ring.x.value
 
 
 def check_gamma_postconditions(p):

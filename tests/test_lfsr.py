@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclo4
@@ -20,7 +20,6 @@ from cyclo4.lfsr import (
     reeds_sloane,
     theorem_lc,
     verify_connection,
-    _u_pivot_row,
 )
 from cyclo4.primes import odd_primes
 from cyclo4.ringpoly import RingPolynomial
@@ -180,29 +179,13 @@ class TestAgainstEchelon:
         assert [p for p in primes if reeds_sloane(generate_sequence(p)).lc != theorem_lc(p)] == []
 
 
-class TestWeakPopov:
-    """The 2x2 shifted weak Popov step; a tie of shifted degrees pivots on V."""
-
-    def test_tie_pivots_on_v(self):
-        # (1, X) ties at shifted degree 1, so it is not a U-pivot row
-        assert _u_pivot_row((1, 0b10), (0, 0b100), 1) == (0b10, 0)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(0, (1 << 24) - 1), min_size=4, max_size=4), st.integers(0, 8))
-    def test_returned_row_pivots_strictly_on_u(self, entries, shift):
-        u1, v1, u2, v2 = entries
-        assume(oracles.gf2_mul(u1, v2) != oracles.gf2_mul(u2, v1))  # nonsingular
-        u, v = _u_pivot_row((u1, v1), (u2, v2), shift)
-        assert u and u.bit_length() - 1 + shift > v.bit_length() - 1
-
-
 def test_import_leaves_numpy_out():
     # neither the import nor a brute-force search loads numpy
     src = str(Path(cyclo4.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import cyclo4; print('numpy' in sys.modules); "
         "from cyclo4.lfsr import brute_force_minimal; from cyclo4.sequence import generate_sequence; "
-        "print(brute_force_minimal(generate_sequence(5), degree_cap=10).lc, 'numpy' in sys.modules)"
+        "print(brute_force_minimal(generate_sequence(5)).lc, 'numpy' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -278,7 +261,7 @@ class TestBruteForce:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_agrees_with_synthesis(self, p):
         s = generate_sequence(p)
-        brute = brute_force_minimal(s, degree_cap=2 * p)
+        brute = brute_force_minimal(s)
         assert brute.lc == reeds_sloane(s).lc
         assert verify_connection(s, brute.connection)
 
@@ -291,10 +274,6 @@ class TestBruteForce:
         result = brute_force_minimal([1, 0, 0, 0, 0])
         assert result.lc == 5
         assert result.connection == zp(1, 0, 0, 0, 0, 3)
-
-    def test_cap_exceeded(self):
-        with pytest.raises(ValueError):
-            brute_force_minimal([1, 0, 0, 0, 0], degree_cap=3)
 
     def test_all_zero(self):
         assert brute_force_minimal([0, 0, 0]).lc == 0

@@ -128,10 +128,13 @@ class TestIndividualChecks:
         _, nine = check_factorizations(workspaces[3])
         assert nine.status is CheckStatus.SKIP
 
-    def test_expansion_cap_skips(self, workspaces):
-        fact, nine = check_factorizations(workspaces[13], expansion_cap=11)
-        assert fact.status is CheckStatus.SKIP
-        assert nine.status is CheckStatus.SKIP
+    def test_expansion_cap_skips(self):
+        # 67 is the first prime above the cap
+        assert DEFAULT_EXPANSION_CAP == 61
+        fact, nine = check_factorizations(_Workspace(67))
+        for check in (fact, nine):
+            assert check.status is CheckStatus.SKIP
+            assert check.detail == "skipped: p > expansion cap 61"
 
 
 class TestRootsGuard:
@@ -198,6 +201,14 @@ class TestFullReport:
         monkeypatch.setattr(verify, "_Workspace", no_workspace)
         with pytest.raises(ValueError, match="unknown checks"):
             full_report(7, only={"bogus"})
+
+    def test_rejects_empty_filter_before_building_the_ring(self, monkeypatch):
+        def no_workspace(p):
+            raise AssertionError("the workspace was built")
+
+        monkeypatch.setattr(verify, "_Workspace", no_workspace)
+        with pytest.raises(ValueError, match="empty check filter"):
+            full_report(7, only=set())
 
     def test_filtered_report(self):
         report = full_report(7, only={"lemma6", "lemma7"})
