@@ -90,7 +90,7 @@ class GaloisRing:
         self._odd = ones
         self._fours = 4 * ones
         self._mask = 3 * ones
-        # 2r + 1 slots: a product of reduced elements, or f(X**2) (x_is_teichmuller)
+        # 2r + 1 slots: a product of reduced elements, or c(X**2) (_at_x_squared)
         self._wide_mask = 3 * (((1 << (B * (2 * r + 1))) - 1) // ((1 << B) - 1))
         self._split = B * r
         neg_low = [(-c) % 4 for c in modulus[:r]]
@@ -101,6 +101,7 @@ class GaloisRing:
         self._constants = tuple(GaloisRingElement(self, n) for n in range(4))
         self.zero, self.one = self._constants[0], self._constants[1]
         self.x = GaloisRingElement(self, self._fold if r == 1 else 1 << B)
+        self._x_teichmuller = not self._at_x_squared(modulus)
 
     @cached_property
     def modulus(self) -> RingPolynomial:
@@ -148,7 +149,8 @@ class GaloisRing:
         return GaloisRingElement(self, t)
 
     def x_is_teichmuller(self) -> bool:
-        """Whether X**(2**r) = X, checked as f(X**2) = 0 by one reduction.
+        """Whether X**(2**r) = X, checked at set-up as f(X**2) = 0 by one
+        reduction.
 
         The coefficient c_k of f goes to slot 2k, and the 2r + 1 slots are
         reduced as a product is. The two conditions are equivalent because
@@ -163,8 +165,30 @@ class GaloisRing:
         xi**2 for a Teichmüller xi (Wan, Lectures on Finite Fields and
         Galois Rings, 2003), so f(xi**2) = sigma(f(xi)) = 0.
         """
-        B = self._slot_bits
-        return not self._reduce(sum(c << (2 * k * B) for k, c in enumerate(self._key[1])))
+        return self._x_teichmuller
+
+    def frobenius(self, x: "GaloisRingElement") -> "GaloisRingElement":
+        """sigma(x), the Frobenius automorphism of GR(4**r, 4), as c(X**2)
+        for x = c(X).
+
+        sigma fixes the coefficients in Z4, so sigma(c(X)) = c(sigma(X)),
+        and sigma(X) = X**2 when X is Teichmüller (:meth:`x_is_teichmuller`).
+        Elsewhere c(X) -> c(X**2) is not sigma, and ValueError is raised.
+        sigma has order r, and the elements it fixes are exactly the
+        embedded Z4 (Wan, Lectures on Finite Fields and Galois Rings, 2003).
+        """
+        if x.ring != self:
+            raise ValueError("element of a different ring")
+        if not self._x_teichmuller:
+            raise ValueError("X is not Teichmüller: X -> X**2 is not the Frobenius")
+        return GaloisRingElement(self, self._at_x_squared(x.coords))
+
+    def _at_x_squared(self, coeffs) -> int:
+        """The reduced packed c(X**2) for c(X) of at most r + 1 coefficients,
+        constant term first: coefficient k goes to slot 2k, and the 2r + 1
+        slots are reduced as a product is."""
+        B2 = 2 * self._slot_bits
+        return self._reduce(sum(c << (k * B2) for k, c in enumerate(coeffs)))
 
     def element(self, coords) -> "GaloisRingElement":
         coords = [int(c) % 4 for c in coords]

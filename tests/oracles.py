@@ -19,10 +19,12 @@ product or remainder; dense Horner evaluates a polynomial with one ring
 product per coefficient; the scan for an element of order p powers every
 unit candidate in turn, without assuming X is Teichmüller; the
 Teichmüller test squares X r times; the power table is a plain chain of
-products, one per entry; and Lemmas 3 and 4/8 are checked by brute force,
+products, one per entry; Lemmas 3 and 4/8 are checked by brute force,
 O(p**2), from every product set of the classes and from S(gamma**v),
 summed over the power table of gamma for any period and any v, compared
-with its table entry for every v. The period itself is rebuilt from
+with its table entry for every v; and the class products behind the
+factorization check and Lemma 9 are expanded one linear factor at a time,
+schoolbook, over that power table. The period itself is rebuilt from
 Euler's criterion, without the cyclotomic classes.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from cyclo4 import f2
 from cyclo4.galois import powers_of
+from cyclo4.ringpoly import RingPolynomial
 
 
 def z4_solvable(rows: list[list[int]], rhs: list[int]) -> bool:
@@ -481,3 +484,18 @@ def lemma8_by_value_table(ws) -> tuple[bool, str]:
                     break
         detail_ok = "values match the p = +-1 (mod 8) table (0 off E1, 2 on E1)"
     return not problems, problems[0] if problems else detail_ok
+
+
+def class_products_by_expansion(ws) -> dict:
+    """The product of X - gamma**v over v in each class of the workspace,
+    by class name, expanded schoolbook one linear factor at a time with
+    gamma**v read from the 2p-entry power table."""
+    ring = ws.ring
+    powers = powers_of(ws.gamma, 2 * ws.p)
+    products = {}
+    for name, block in ws.classes.blocks.items():
+        acc = RingPolynomial(ring, [ring.one])
+        for v in sorted(block):
+            acc = acc * RingPolynomial(ring, [-powers[v], ring.one])
+        products[name] = acc
+    return products

@@ -1,18 +1,27 @@
 """The linear-time lemma3 and lemma8 checks against their O(p**2) oracles in
-``oracles.py``: agreement on every odd prime, mutants that both must
-reject, and a bound on the ring sums the lemma8 check makes."""
+``oracles.py``, and the factorization and lemma9 checks against the
+expanded class products: agreement on every odd prime, mutants that both
+must reject, and a bound on the ring sums the lemma8 check makes."""
 
 import dataclasses
 
 import pytest
 
 import oracles
+from cyclo4 import verify
 from cyclo4.cyclotomy import build_classes
 from cyclo4.galois import Z4, GaloisRing, construct_ring, find_gamma
 from cyclo4.primes import odd_primes
 from cyclo4.ringpoly import RingPolynomial
 from cyclo4.sequence import QuaternarySequence
-from cyclo4.verify import CheckStatus, _Workspace, check_lemma3, check_lemma4_lemma8
+from cyclo4.verify import (
+    DEFAULT_EXPANSION_CAP,
+    CheckStatus,
+    _Workspace,
+    check_factorizations,
+    check_lemma3,
+    check_lemma4_lemma8,
+)
 
 
 def _assert_agree(ws):
@@ -36,11 +45,10 @@ def test_agrees_with_the_quadratic_oracles_below_500():
         _assert_agree(_Workspace(p))
 
 
-def _swap(classes, a, b, **changes):
-    """The classes with a in D0 and b in D1 trading places."""
-    return dataclasses.replace(
-        classes, d0=classes.d0 - {a} | {b}, d1=classes.d1 - {b} | {a}, **changes
-    )
+def _swap(classes, a, b, other="d1", **changes):
+    """The classes with a in D0 and b in the class ``other`` trading places."""
+    moved = {other: getattr(classes, other) - {b} | {a}}
+    return dataclasses.replace(classes, d0=classes.d0 - {a} | {b}, **moved, **changes)
 
 
 @pytest.mark.parametrize("p", (5, 7, 13, 17, 29, 31))
@@ -190,3 +198,142 @@ def test_find_gamma_scans_when_x_is_not_teichmuller():
     beta, _ = find_gamma(ring, 3)
     assert beta == oracles.scan_beta(ring, 3)
     assert beta**3 == ring.one and beta != ring.one
+
+
+def _expansion_verdicts(ws):
+    """(status, detail) of factorization and lemma9 from the expanded class
+    products, with the library's texts."""
+    ring, p = ws.ring, ws.p
+    products = oracles.class_products_by_expansion(ws)
+    xp = RingPolynomial.monomial(ring, p)
+    one = RingPolynomial(ring, [ring.one])
+    problems = []
+    if RingPolynomial(ring, [ring.one, ring.one]) * products["D0"] * products["D1"] != xp + one:
+        problems.append("(X+1)*G0*G1 != X^p + 1")
+    x_minus_1 = RingPolynomial(ring, [ring.embed(3), ring.one])
+    if x_minus_1 * products["E0"] * products["E1"] != xp - one:
+        problems.append("(X-1)*L0*L1 != X^p - 1")
+    fact = (
+        (CheckStatus.FAIL, problems[0]) if problems else
+        (CheckStatus.PASS, "(X+1)G0G1 = X^p+1 and (X-1)L0L1 = X^p-1 exactly")
+    )
+    if p % 8 in (3, 5):
+        return [fact, (CheckStatus.SKIP, "integrality not claimed for p = +-3 (mod 8)")]
+    names = {"D0": "G0", "D1": "G1", "E0": "L0", "E1": "L1"}
+    bad = next(
+        (name for name, poly in products.items()
+         if not all(c.is_embedded_constant for c in poly.coeffs)),
+        None,
+    )
+    nine = (
+        (CheckStatus.FAIL, f"{names[bad]} has a coefficient outside the embedded Z4") if bad else
+        (CheckStatus.PASS, "all product coefficients lie in the embedded Z4")
+    )
+    return [fact, nine]
+
+
+def _statuses_agree(ws):
+    """The statuses of both checks, asserted equal to the expansion's; the
+    texts too where nothing fails (a failing premise names itself instead
+    of the product it breaks)."""
+    got = check_factorizations(ws)
+    want = _expansion_verdicts(ws)
+    for result, (status, detail) in zip(got, want):
+        assert result.status is status, (ws.p, result)
+        if status is not CheckStatus.FAIL:
+            assert result.detail == detail
+    return [(result.status, result.detail) for result in got]
+
+
+@pytest.mark.parametrize("p", list(odd_primes(3, DEFAULT_EXPANSION_CAP)))
+def test_factorizations_agree_with_the_expanded_products(p):
+    ws = _Workspace(p)
+    assert [(c.status, c.detail) for c in check_factorizations(ws)] == _expansion_verdicts(ws)
+
+
+@pytest.mark.slow
+def test_factorizations_agree_with_the_expanded_products_above_the_cap(monkeypatch):
+    # the proofs need no cap: raised, they still give the expansion's verdicts
+    monkeypatch.setattr(verify, "DEFAULT_EXPANSION_CAP", 293)
+    for p in odd_primes(67, 293):
+        ws = _Workspace(p)
+        assert [(c.status, c.detail) for c in check_factorizations(ws)] == _expansion_verdicts(ws)
+
+
+@pytest.mark.parametrize("p", (5, 7, 13, 17, 31, 61))
+def test_factorization_rejects_an_odd_member_swapped_with_an_even_one(p):
+    ws = _Workspace(p)
+    c = ws.classes
+    ws.classes = _swap(c, max(c.d0), max(c.e0), other="e0")
+    fact, _ = _statuses_agree(ws)
+    assert fact == (CheckStatus.FAIL, "D0, D1 and {p} do not partition the odd residues")
+
+
+@pytest.mark.parametrize("p", (5, 7, 13, 17, 31, 61))
+def test_factorization_rejects_even_classes_that_overlap(p):
+    ws = _Workspace(p)
+    c = ws.classes
+    ws.classes = dataclasses.replace(c, e1=c.e1 | {min(c.e0)})
+    fact, _ = _statuses_agree(ws)
+    assert fact == (CheckStatus.FAIL, "E0, E1 and {0} do not partition the even residues")
+
+
+@pytest.mark.parametrize("p", (7, 17, 23, 31, 41, 47))
+def test_lemma9_rejects_a_member_swapped_between_d0_and_d1(p):
+    ws = _Workspace(p)
+    c = ws.classes
+    ws.classes = _swap(c, max(c.d0), max(c.d1))
+    fact, nine = _statuses_agree(ws)
+    # the odd residues are still D0, D1 and {p}, so the factorization holds
+    assert fact[0] is CheckStatus.PASS
+    assert nine == (CheckStatus.FAIL, "(p+2)*D0 != D0")
+
+
+@pytest.mark.parametrize("p", (3, 7, 17, 31, 59, 61))
+def test_rejects_a_gamma_whose_p_th_power_is_not_minus_one(p):
+    # beta**p = 1: the odd powers are roots of X**p - 1, not X**p + 1; the
+    # products stay integral, and lemma9 agrees that they are
+    ws = _Workspace(p)
+    ws.gamma = ws.beta
+    fact, nine = _statuses_agree(ws)
+    assert fact == (CheckStatus.FAIL, "gamma^p != -1")
+    assert nine[0] is (CheckStatus.SKIP if p % 8 in (3, 5) else CheckStatus.PASS)
+
+
+@pytest.mark.parametrize("p", (3, 7, 17, 23, 31, 47, 59))
+def test_rejects_a_gamma_not_moved_to_its_p_plus_2_power_by_sigma(p):
+    # (gamma (1 + 2X))**p = -(1 + 2X), and sigma(1 + 2X) = 1 + 2X**2 is
+    # not (1 + 2X)**(p+2) = 1 + 2X
+    ws = _Workspace(p)
+    ring = ws.ring
+    ws.gamma = ws.gamma * (ring.one + ring.x + ring.x)
+    fact, nine = _statuses_agree(ws)
+    assert fact == (CheckStatus.FAIL, "gamma^p != -1")
+    if p % 8 not in (3, 5):
+        assert nine == (CheckStatus.FAIL, "sigma(gamma) != gamma^(p+2)")
+
+
+@pytest.mark.parametrize("p", (5, 7, 17, 59))
+def test_rejects_a_gamma_whose_powers_do_not_differ_by_units(p):
+    # gamma = -1 has gamma**p = -1, but its powers are +-1 and differ by 2
+    ws = _Workspace(p)
+    ws.gamma = ws.ring.embed(3)
+    fact, _ = _statuses_agree(ws)
+    assert fact == (CheckStatus.FAIL, "gamma - 1 is not a unit")
+
+
+def test_lemma9_proves_nothing_where_x_is_not_teichmuller():
+    # X**3 + 2X**2 + X + 1 is basic irreducible but not the Graeffe lift
+    # X**3 + 2X**2 + X + 3, so c(X) -> c(X**2) is not sigma there. The
+    # products are still integral, but the check cannot show it, and fails
+    # rather than pass unproved
+    ws = _Workspace(7)
+    ring = GaloisRing(RingPolynomial.from_ints(Z4, [1, 1, 2, 1]))
+    ws.ring = ring
+    ws.beta, ws.gamma = find_gamma(ring, 7)
+    fact, nine = check_factorizations(ws)
+    assert (fact.status, fact.detail) == _expansion_verdicts(ws)[0]
+    assert _expansion_verdicts(ws)[1][0] is CheckStatus.PASS
+    assert (nine.status, nine.detail) == (
+        CheckStatus.FAIL, "X is not Teichmüller: X -> X^2 is not the Frobenius"
+    )

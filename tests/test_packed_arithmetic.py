@@ -21,7 +21,7 @@ from cyclo4.galois import (
     powers_of,
 )
 from cyclo4.ringpoly import RingPolynomial
-from cyclo4.verify import CheckStatus, _Workspace, check_gamma
+from cyclo4.verify import CheckStatus, _Workspace, check_factorizations, check_gamma, full_report
 
 
 def _dense_ring(r: int) -> GaloisRing:
@@ -317,6 +317,36 @@ def test_ring_setup_makes_a_bounded_number_of_products(products):
         powers_of.cache_clear()
 
 
+def test_full_report_makes_a_bounded_number_of_products(products):
+    full_report(293)
+    # the workspace's 596, the powers by p of check_gamma and the roots
+    # check, and the Horner evaluations of the roots check
+    assert len(products) <= 710
+
+
+@pytest.mark.parametrize("p", [17, 23, 31, 59, 61])
+def test_factorization_check_expands_no_product(p, products, monkeypatch):
+    ws = _Workspace(p)
+    poly_products = []
+    real = RingPolynomial.__mul__
+
+    def counting(a, b):
+        poly_products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(RingPolynomial, "__mul__", counting)
+    products.clear()
+    assert check_factorizations(ws)[0].status is CheckStatus.PASS
+    assert not poly_products
+    # the power gamma**p, which the roots check reuses, then gamma**(p+2)
+    # from it for lemma9
+    power = (p.bit_length() - 1) + (bin(p).count("1") - 1)
+    assert len(products) <= power + 2
+    products.clear()
+    assert ws.gamma_p == ws.ring.embed(3)
+    assert not products
+
+
 def test_workspace_memory_stays_linear_in_r():
     # r = 1018: a 2p-entry power table of gamma alone takes about 4 MB; the
     # four class sums and the chain's current power take about 0.3 MB
@@ -329,3 +359,74 @@ def test_workspace_memory_stays_linear_in_r():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# rings whose X is Teichmüller: canonical ones, p = 211 with three fold
+# pieces among them, and the reciprocal lift; their Teichmüller elements
+# are X and, in a canonical ring, beta of order p
+CANONICAL_RINGS = {p: construct_ring(p) for p in (3, 7, 31, 73, 211)}
+FROBENIUS_RINGS = [*CANONICAL_RINGS.values(), _reciprocal_lift_ring(58)]
+TEICHMULLER_BASES = [(ring, ring.x) for ring in FROBENIUS_RINGS] + [
+    (ring, find_gamma(ring, p)[0]) for p, ring in CANONICAL_RINGS.items()
+]
+
+
+def _frobenius_ring_with(count):
+    return st.sampled_from(FROBENIUS_RINGS).flatmap(
+        lambda ring: st.tuples(st.just(ring), *[_elements(ring)] * count)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TEICHMULLER_BASES), st.integers(0, 1 << 20))
+def test_frobenius_squares_a_teichmuller_element(case, k):
+    ring, base = case
+    x = base**k
+    assert ring.frobenius(x) == x * x
+
+
+@settings(max_examples=100, deadline=None)
+@given(_frobenius_ring_with(2))
+def test_frobenius_is_a_ring_homomorphism(args):
+    ring, a, b = args
+    sigma = ring.frobenius
+    assert sigma(a + b) == sigma(a) + sigma(b)
+    assert sigma(a * b) == sigma(a) * sigma(b)
+    assert sigma(ring.one) == ring.one
+
+
+@settings(max_examples=30, deadline=None)
+@given(_frobenius_ring_with(1))
+def test_frobenius_has_order_dividing_r(args):
+    ring, a = args
+    x = a
+    for _ in range(ring.r):
+        x = ring.frobenius(x)
+    assert x == a
+
+
+@pytest.mark.parametrize("p", [3, 7, 31])
+def test_frobenius_fixes_exactly_the_embedded_constants(p):
+    ring = construct_ring(p)
+    elements = [_from_counter(ring, k) for k in range(4**ring.r)]
+    assert [x for x in elements if ring.frobenius(x) == x] == elements[:4]
+
+
+@pytest.mark.parametrize("ring", FROBENIUS_RINGS, ids=repr)
+def test_frobenius_does_not_square_a_unit_off_the_teichmuller_set(ring):
+    # (1 + 2X)**2 = 1, while sigma(1 + 2X) = 1 + 2X**2
+    u = ring.one + ring.x + ring.x
+    assert u * u == ring.one
+    assert ring.frobenius(u) == ring.one + ring.embed(2) * ring.x * ring.x != u * u
+
+
+def test_frobenius_refuses_a_ring_whose_x_is_not_teichmuller():
+    ring = GaloisRing(RingPolynomial.from_ints(Z4, [1, 3, 1]))
+    assert not ring.x_is_teichmuller()
+    with pytest.raises(ValueError, match="not Teichmüller"):
+        ring.frobenius(ring.x)
+
+
+def test_frobenius_refuses_an_element_of_another_ring():
+    with pytest.raises(ValueError, match="different ring"):
+        construct_ring(7).frobenius(construct_ring(31).x)

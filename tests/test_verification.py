@@ -156,8 +156,8 @@ class TestRootsGuard:
     def test_vanishing_is_checked_at_gamma_to_the_p(self, p, workspaces):
         # 2**p = 0, so the witness 2x**p + 2 at x = 2 is 2: the vanishing
         # first fails at gamma^1, where gamma**p stands for every odd j
-        ring = workspaces[p].ring
-        got = check_roots_guard(SimpleNamespace(ring=ring, p=p, gamma=ring.embed(2)))
+        ring, two = workspaces[p].ring, workspaces[p].ring.embed(2)
+        got = check_roots_guard(SimpleNamespace(ring=ring, p=p, gamma=two, gamma_p=two**p))
         assert got.status is CheckStatus.FAIL
         assert got.detail == "witness does not vanish at gamma^1"
 
