@@ -73,7 +73,7 @@ def cmd_lc(args) -> int:
             result = brute_force_minimal(s)
         else:
             result = reeds_sloane(s)
-        lc, connection = result.lc, result.connection_ints()
+        lc, connection = result.lc, list(result.connection)
     if args.format == "json":
         obj = {"p": p, "method": args.method, "lc": lc}
         if connection is not None:

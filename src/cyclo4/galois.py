@@ -20,8 +20,6 @@ gamma**p = 3 = -1.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import repeat
-from operator import attrgetter, is_
 
 from . import f2
 from .primes import require_odd_prime
@@ -96,8 +94,6 @@ class GaloisRing:
         neg_low = [(-c) % 4 for c in modulus[:r]]
         self._fold = self._pack(neg_low)
         self._fold_pieces = _fold_pieces(neg_low, B)
-        # reduced terms (at most 3 per slot) that a reduced slot can take
-        self._sum_chunk = ((1 << B) - 4) // 3
         self._constants = tuple(GaloisRingElement(self, n) for n in range(4))
         self.zero, self.one = self._constants[0], self._constants[1]
         self.x = GaloisRingElement(self, self._fold if r == 1 else 1 << B)
@@ -199,23 +195,6 @@ class GaloisRing:
     def embed(self, n: int) -> "GaloisRingElement":
         """Canonical embedding of Z4: the constant with value n mod 4."""
         return self._constants[int(n) % 4]
-
-    def sum(self, elements) -> "GaloisRingElement":
-        """The sum of many elements of this ring, accumulated packed.
-
-        Slots are reduced mod 4 only when the next chunk of terms could
-        overflow them, so sums of any length stay exact for any r.
-        """
-        elements = list(elements)
-        if not all(map(is_, map(attrgetter("ring"), elements), repeat(self))):
-            if any(e.ring != self for e in elements):
-                raise ValueError("elements of different rings")
-        packed = list(map(attrgetter("packed"), elements))
-        mask, chunk = self._mask, self._sum_chunk
-        acc = 0
-        for i in range(0, len(packed), chunk):
-            acc = (acc + sum(packed[i : i + chunk])) & mask
-        return GaloisRingElement(self, acc)
 
     @property
     def unit_group_order(self) -> int:

@@ -35,9 +35,7 @@ import enum
 from dataclasses import dataclass
 
 from . import f2
-from .galois import Z4
 from .primes import require_odd_prime
-from .ringpoly import RingPolynomial
 from .sequence import QuaternarySequence
 
 
@@ -54,20 +52,17 @@ class ResidueClass(enum.Enum):
 
 @dataclass(frozen=True)
 class LfsrResult:
-    """A linear-complexity value with a witness connection polynomial."""
+    """A linear-complexity value with a witness connection polynomial, its
+    coefficients in 0..3 constant term first (1 + c1*X + ...)."""
 
     lc: int
-    connection: RingPolynomial
+    connection: tuple[int, ...]
 
     def __post_init__(self):
-        if self.connection.constant != Z4.one:
+        if self.connection[0] != 1:
             raise ValueError("connection polynomial must have constant term 1")
-        if self.connection.degree != self.lc:
+        if len(self.connection) != self.lc + 1 or not self.connection[-1]:
             raise ValueError("connection degree must equal the complexity")
-
-    def connection_ints(self) -> list[int]:
-        """Coefficients constant term first, matching the 1 + c1*X + ... reading."""
-        return [c.value for c in self.connection.coeffs]
 
 
 def classify_prime(p: int) -> ResidueClass:
@@ -99,9 +94,9 @@ def theorem_lc(p: int) -> int:
 
 
 def _period_values(s) -> bytes:
-    """One period as bytes, each value reduced mod 4. Bytes (and a
-    QuaternarySequence) take no Python-level loop; any other iterable,
-    a generator included, is read once."""
+    """One period (or coefficient vector) as bytes, each value reduced
+    mod 4. Bytes (and a QuaternarySequence) take no Python-level loop; any
+    other iterable, a generator included, is read once."""
     if isinstance(s, QuaternarySequence):
         s = bytes(s.values)
     values = s.translate(_MOD4) if isinstance(s, bytes) else bytes(int(v) % 4 for v in s)
@@ -173,19 +168,18 @@ def _cyclic_product(a: bytes, b: bytes, n: int) -> bytes:
     return t.to_bytes(width * n, "little")[::width].translate(_MOD4)
 
 
-def verify_connection(s, connection: RingPolynomial) -> bool:
+def verify_connection(s, connection) -> bool:
     """True iff the connection polynomial annihilates one period cyclically.
 
-    Behaves exactly like folding the product of the generating polynomial
-    with the candidate modulo X**n - 1 and testing for zero, computed as
-    one packed-integer cyclic convolution.
+    The connection is its coefficients over Z4 (ints or bytes, read mod 4),
+    constant term first. Behaves exactly like folding the product of the
+    generating polynomial with the candidate modulo X**n - 1 and testing
+    for zero, computed as one packed-integer cyclic convolution.
     """
-    if connection.ring is not Z4:
-        raise ValueError("connection polynomial must be over Z4")
-    if connection.constant != Z4.one:
+    coeffs = _period_values(connection)
+    if coeffs[0] != 1:
         raise ValueError("connection polynomial must have constant term 1")
     values = _period_values(s)
-    coeffs = bytes(c.value for c in connection.coeffs)
     return _cyclic_product(values, coeffs, len(values)) == bytes(len(values))
 
 
@@ -269,10 +263,9 @@ def reeds_sloane(s) -> LfsrResult:
     """
     values = _period_values(s)
     lc, coeffs = minimal_connection(values)
-    # verify_connection's test, without a round trip through Z4 elements
-    if _cyclic_product(values, bytes(coeffs), len(values)) != bytes(len(values)):
+    if not verify_connection(values, coeffs):
         raise RuntimeError("internal: synthesized connection does not annihilate")
-    return LfsrResult(lc=lc, connection=RingPolynomial.from_ints(Z4, coeffs))
+    return LfsrResult(lc=lc, connection=tuple(coeffs))
 
 
 def brute_force_minimal(s) -> LfsrResult:
@@ -294,7 +287,7 @@ def brute_force_minimal(s) -> LfsrResult:
     values = _period_values(s)
     n = len(values)
     if not any(values):
-        return LfsrResult(lc=0, connection=RingPolynomial.from_ints(Z4, [1]))
+        return LfsrResult(lc=0, connection=(1,))
 
     start = _pack(values, 1)
     mask = _pack(b"\x03" * n, 1)
@@ -314,7 +307,5 @@ def brute_force_minimal(s) -> LfsrResult:
             digits[i] += 1
             residual = (residual + columns[i]) & mask
         if not residual:
-            return LfsrResult(
-                lc=degree, connection=RingPolynomial.from_ints(Z4, [1] + digits)
-            )
+            return LfsrResult(lc=degree, connection=(1, *digits))
     raise RuntimeError("internal: 1 + 3*X**n does not annihilate the period")

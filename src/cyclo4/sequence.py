@@ -1,9 +1,9 @@
-"""The period-2p quaternary sequence and its generating polynomial.
+"""The period-2p quaternary sequence.
 
 One period is filled from the four cyclotomic classes: 0 on {0} and D0,
-1 on D1, 2 on {p} and E0, 3 on E1. The generating polynomial collects one
-period as coefficients over Z4; the class indicator polynomials S0, S1,
-T0, T1 assemble it as 2*X**p + S1 + 2*T0 + 3*T1.
+1 on D1, 2 on {p} and E0, 3 on E1. Read as the coefficients of its
+generating polynomial over Z4, it is 2*X**p + S1 + 2*T0 + 3*T1 in the
+indicator polynomials S0, S1, T0, T1 of D0, D1, E0, E1.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomy import GeneralizedCyclotomy, build_classes
-from .galois import Z4
 from .primes import require_odd_prime
-from .ringpoly import RingPolynomial
 
 
 @dataclass(frozen=True)
@@ -51,21 +49,3 @@ def generate_sequence(p: int, classes: GeneralizedCyclotomy | None = None) -> Qu
             values[u] = value
     return QuaternarySequence(p=p, values=tuple(values))
 
-
-def generating_polynomial(s) -> RingPolynomial:
-    """Collect one period (a QuaternarySequence or any value vector) as a
-    polynomial over Z4, coefficient i = value at index i."""
-    values = s.values if isinstance(s, QuaternarySequence) else s
-    return RingPolynomial.from_ints(Z4, values)
-
-
-def class_sum_polynomials(c: GeneralizedCyclotomy):
-    """Indicator polynomials (S0, S1, T0, T1) of D0, D1, E0, E1 over Z4."""
-
-    def indicator(block):
-        coeffs = [0] * (2 * c.p)
-        for u in block:
-            coeffs[u] = 1
-        return RingPolynomial.from_ints(Z4, coeffs)
-
-    return indicator(c.d0), indicator(c.d1), indicator(c.e0), indicator(c.e1)

@@ -76,9 +76,13 @@ class NormalizedGamma:
     """
 
     gamma: GaloisRingElement
-    s0: GaloisRingElement
     exponent: int
     sums: dict = field(repr=False)
+
+    @property
+    def s0(self) -> GaloisRingElement:
+        """The class sum over D0, the unit the normalization asks for."""
+        return self.sums["D0"]
 
     @property
     def replaced(self) -> bool:
@@ -109,7 +113,7 @@ def normalize_gamma(
     if sums["D0"] + sums["D1"] != ring.one:
         raise RuntimeError("internal: class sums over D0 and D1 do not add to 1")
     if sums["D0"].is_unit():
-        return NormalizedGamma(gamma=gamma, s0=sums["D0"], exponent=1, sums=sums)
+        return NormalizedGamma(gamma=gamma, exponent=1, sums=sums)
     v = min(classes.d1)
     name_of = {block: name for name, block in blocks.items()}
     moved = {}
@@ -120,7 +124,7 @@ def normalize_gamma(
         moved[name] = sums[name_of[image]]
     if not moved["D0"].is_unit():
         raise RuntimeError("internal: neither class sum is a unit")
-    return NormalizedGamma(gamma=gamma**v, s0=moved["D0"], exponent=v, sums=moved)
+    return NormalizedGamma(gamma=gamma**v, exponent=v, sums=moved)
 
 
 class _Workspace:
@@ -138,7 +142,7 @@ class _Workspace:
 
     @cached_property
     def gamma_p(self) -> GaloisRingElement:
-        """gamma**p, computed once for the factorization and roots checks."""
+        """gamma**p, computed once for the gamma, factorization and roots checks."""
         return self.gamma**self.p
 
 
@@ -156,7 +160,8 @@ def check_gamma(ws: _Workspace) -> CheckResult:
     ring, p = ws.ring, ws.p
     if ws.beta**p != ring.one or ws.beta == ring.one:
         problems.append("beta does not have order p")
-    if ws.raw_gamma**p != ring.embed(3):
+    raw_gamma_p = ws.gamma_p if ws.raw_gamma is ws.gamma else ws.raw_gamma**p
+    if raw_gamma_p != ring.embed(3):
         problems.append("gamma**p != -1")
     if not ws.normalized.s0.is_unit():
         problems.append("normalized class sum is not a unit")
@@ -338,7 +343,7 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
     values = {}
     for name, v in zip(blocks, least):
         terms = [sums[class_name[v * m % n]] for m in least for _ in range(seq[m])]
-        values[name] = ring.sum([ring.embed(seq[0] + (-1) ** v * seq[p])] + terms)
+        values[name] = sum(terms, ring.embed(seq[0] + (-1) ** v * seq[p]))
     if p % 8 in (3, 5):
         two_s0 = s0 + s0
         expect = {

@@ -6,7 +6,9 @@ cyclic annihilator degrees then come from trying degrees in ascending
 order. The Galois-ring oracles work on plain coordinate tuples (constant
 term first) of Z4[X]/(f): a schoolbook product with top-down reduction
 by the monic f, the pairwise unit-difference scan over a power table, and
-the sequence values S(gamma**v) summed one term at a time. Over GF(2)
+the sequence values S(gamma**v) summed one term at a time. The
+generating polynomial and the class indicator polynomials are polynomials
+over Z4 read straight off the period and the class sets. Over GF(2)
 (bitmask polynomials) there is a coefficient-by-coefficient product,
 irreducibility by exhaustive trial division, by Ben-Or's test and by the
 Rabin test, and an incremental column echelon that finds the minimal
@@ -31,7 +33,7 @@ Euler's criterion, without the cyclotomic classes.
 from __future__ import annotations
 
 from cyclo4 import f2
-from cyclo4.galois import powers_of
+from cyclo4.galois import Z4, powers_of
 from cyclo4.ringpoly import RingPolynomial
 
 
@@ -244,6 +246,21 @@ def horner(poly, point):
     return acc
 
 
+def generating_polynomial(values) -> RingPolynomial:
+    """One period (a QuaternarySequence or any value vector) as a
+    polynomial over Z4, coefficient i = value at index i."""
+    return RingPolynomial.from_ints(Z4, getattr(values, "values", values))
+
+
+def indicator_polynomials(classes) -> tuple:
+    """The indicator polynomials (S0, S1, T0, T1) of D0, D1, E0, E1 over Z4,
+    each with 2p coefficients."""
+    def indicator(block):
+        return RingPolynomial.from_ints(Z4, [int(u in block) for u in range(2 * classes.p)])
+
+    return tuple(indicator(block) for block in (classes.d0, classes.d1, classes.e0, classes.e1))
+
+
 def annihilates(values: list[int], coeffs: list[int]) -> bool:
     """Does sum c_i X**i kill sum s_j X**j modulo (X**n - 1, 4)?"""
     n = len(values)
@@ -438,7 +455,7 @@ def sequence_value(ws, v: int):
     n = 2 * ws.p
     ring, powers = ws.ring, powers_of(ws.gamma, n)
     s1, s2, s3 = (
-        ring.sum([powers[u * v % n] for u, s in enumerate(ws.seq.values) if s == k])
+        sum((powers[u * v % n] for u, s in enumerate(ws.seq.values) if s == k), ring.zero)
         for k in (1, 2, 3)
     )
     return s1 + s2 + s2 - s3  # s1 + 2*s2 + 3*s3, as 3 = -1

@@ -11,10 +11,8 @@ import time
 
 import pytest
 
-from cyclo4.galois import Z4
 from cyclo4.lfsr import brute_force_minimal, reeds_sloane, theorem_lc, verify_connection
 from cyclo4.primes import odd_primes
-from cyclo4.ringpoly import RingPolynomial
 from cyclo4.sequence import generate_sequence
 from cyclo4.verify import CheckStatus, full_report
 
@@ -63,9 +61,8 @@ def test_criterion_3_golden_witnesses():
     valid = {p: w for p, w in GOLDEN_WITNESSES.items() if p != 31}
     ok = True
     for p, coeffs in valid.items():
-        connection = RingPolynomial.from_ints(Z4, coeffs)
-        ok = ok and verify_connection(generate_sequence(p), connection)
-        ok = ok and connection.degree == theorem_lc(p)
+        ok = ok and verify_connection(generate_sequence(p), coeffs)
+        ok = ok and len(coeffs) - 1 == theorem_lc(p) and coeffs[-1] != 0
     report(
         3,
         ok,
@@ -80,8 +77,7 @@ def test_criterion_3_golden_witnesses():
     "contradicting s_0=0 and s_31=2, so it cannot annihilate",
 )
 def test_criterion_3_recorded_p31_witness():
-    connection = RingPolynomial.from_ints(Z4, GOLDEN_WITNESSES[31])
-    ok = verify_connection(generate_sequence(31), connection)
+    ok = verify_connection(generate_sequence(31), GOLDEN_WITNESSES[31])
     if not ok:
         print("criterion 3: FAIL recorded p=31 witness does not annihilate "
               "(defective golden value; corrected witness verified below)")
@@ -92,9 +88,8 @@ def test_criterion_3_corrected_p31_witness():
     # the closed-form proof's own construction for p = -1 (mod 16)
     p = 31
     coeffs = [1] + [2] * (p - 1) + [1]  # (X+1)(X^p - 1)/(X - 1)
-    connection = RingPolynomial.from_ints(Z4, coeffs)
-    assert verify_connection(generate_sequence(p), connection)
-    assert connection.degree == theorem_lc(p)
+    assert verify_connection(generate_sequence(p), coeffs)
+    assert len(coeffs) - 1 == theorem_lc(p)
 
 
 def test_criterion_4_theorem_sweep():

@@ -163,6 +163,8 @@ class TestElementArithmetic:
         b = construct_ring(7).x
         with pytest.raises(ValueError):
             a * b
+        with pytest.raises(ValueError):
+            a + b
 
     def test_embedded_constant_extraction(self):
         ring = construct_ring(3)

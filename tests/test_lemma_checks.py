@@ -10,7 +10,7 @@ import pytest
 import oracles
 from cyclo4 import verify
 from cyclo4.cyclotomy import build_classes
-from cyclo4.galois import Z4, GaloisRing, construct_ring, find_gamma
+from cyclo4.galois import Z4, GaloisRing, GaloisRingElement, construct_ring, find_gamma
 from cyclo4.primes import odd_primes
 from cyclo4.ringpoly import RingPolynomial
 from cyclo4.sequence import QuaternarySequence
@@ -163,19 +163,25 @@ def test_lemma8_rejects_classes_that_do_not_partition(p):
 @pytest.mark.parametrize("p", (31, 293))
 def test_lemma8_makes_a_bounded_number_of_ring_sums(p, monkeypatch):
     ws = _Workspace(p)
-    calls = []
-    real = GaloisRing.sum
+    sums, products = [], []
+    real_add, real_mul = GaloisRingElement.__add__, GaloisRing._mul_packed
 
-    def counting(self, elements):
-        calls.append(len(elements))
-        return real(self, elements)
+    def counting_add(a, b):
+        sums.append(1)
+        return real_add(a, b)
 
-    monkeypatch.setattr(GaloisRing, "sum", counting)
+    def counting_mul(ring, a, b):
+        products.append(1)
+        return real_mul(ring, a, b)
+
+    monkeypatch.setattr(GaloisRingElement, "__add__", counting_add)
+    monkeypatch.setattr(GaloisRing, "_mul_packed", counting_mul)
     assert check_lemma4_lemma8(ws).status is CheckStatus.PASS
-    # four values of S from the class sums, one sum each of s_0 + s_p and
-    # at most three copies of each of the four class sums
-    assert len(calls) <= 4
-    assert all(terms <= 1 + 4 * 3 for terms in calls)
+    # four values of S, each s_0 + s_p plus s_C copies of a class sum for
+    # the classes C with s_C = 0, 1, 2, 3, so six additions; and 2*S0 for
+    # the p = +-3 (mod 8) table
+    assert len(sums) <= 4 * 6 + 1
+    assert not products
 
 
 def test_find_gamma_matches_the_scan_for_every_prime_below_500():

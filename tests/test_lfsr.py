@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclo4
-from cyclo4 import lfsr
+from cyclo4 import cli, lfsr
 from cyclo4.galois import Z4
 from cyclo4.lfsr import (
     LfsrResult,
@@ -23,14 +23,10 @@ from cyclo4.lfsr import (
 )
 from cyclo4.primes import odd_primes
 from cyclo4.ringpoly import RingPolynomial
-from cyclo4.sequence import generate_sequence, generating_polynomial
+from cyclo4.sequence import generate_sequence
 
 import oracles
 from oracles import cyclic_annihilator_exists, cyclic_min_degree
-
-
-def zp(*ints):
-    return RingPolynomial.from_ints(Z4, ints)
 
 
 class TestClassification:
@@ -84,17 +80,27 @@ class TestTheorem:
 
 class TestVerifyConnection:
     def test_full_period_shift_witness(self):
-        assert verify_connection(generate_sequence(5), zp(*([1] + [0] * 9 + [3])))
+        assert verify_connection(generate_sequence(5), [1] + [0] * 9 + [3])
 
     def test_one_does_not_annihilate_nonzero(self):
-        assert not verify_connection(generate_sequence(3), zp(1))
+        assert not verify_connection(generate_sequence(3), (1,))
 
     def test_p7_witness(self):
-        assert verify_connection(generate_sequence(7), zp(1, 0, 1, 1, 3))
+        assert verify_connection(generate_sequence(7), (1, 0, 1, 1, 3))
 
     def test_rejects_non_unit_constant(self):
         with pytest.raises(ValueError):
-            verify_connection(generate_sequence(3), zp(2, 1))
+            verify_connection(generate_sequence(3), (2, 1))
+
+    def test_coefficients_are_read_mod_4_from_any_sequence(self):
+        s = generate_sequence(7)
+        for witness in ((1, 0, 1, 1, 3), [1, 0, 1, 1, 3], bytes([1, 0, 1, 1, 3])):
+            assert verify_connection(s, witness)
+        # 5 = 1 and -1 = 3 mod 4
+        assert verify_connection(s, [5, 4, 1, 9, -1])
+        assert not verify_connection(s, bytes([5, 0, 1, 1, 2]))
+        with pytest.raises(ValueError, match="constant term 1"):
+            verify_connection(s, [2, 0, 1, 1, 3])
 
     def test_agrees_with_polynomial_route(self):
         rng = random.Random(2024)
@@ -102,16 +108,15 @@ class TestVerifyConnection:
             n = rng.randrange(2, 12)
             values = [rng.randrange(4) for _ in range(n)]
             coeffs = [1] + [rng.randrange(4) for _ in range(rng.randrange(0, n))]
-            conn = zp(*coeffs)
-            via_poly = (generating_polynomial(values) * conn).mod_cyclic(n).is_zero
-            assert verify_connection(values, conn) == via_poly
+            product = RingPolynomial.from_ints(Z4, values) * RingPolynomial.from_ints(Z4, coeffs)
+            assert verify_connection(values, coeffs) == product.mod_cyclic(n).is_zero
 
     @pytest.mark.parametrize("n", [28, 29, 30, 31, 57])
     def test_full_slots(self, n):
         # with the first connection a wrapped slot sums 3 + 9(n - 1), past one byte from n = 30
         values = [3] * n
         for coeffs in ([1] + [3] * (n - 1), [1] + [3] * (n - 2) + [2], [1] + [3] * (2 * n)):
-            assert verify_connection(values, zp(*coeffs)) == oracles.annihilates(values, coeffs)
+            assert verify_connection(values, coeffs) == oracles.annihilates(values, coeffs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -121,7 +126,7 @@ class TestVerifyConnection:
         values = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
         tail = data.draw(st.lists(st.integers(0, 3), max_size=3 * n))
         coeffs = [1] + tail
-        assert verify_connection(values, zp(*coeffs)) == oracles.annihilates(values, coeffs)
+        assert verify_connection(values, coeffs) == oracles.annihilates(values, coeffs)
 
 
 @st.composite
@@ -205,13 +210,15 @@ class TestReedsSloane:
         for p in (3, 5, 7, 17, 31, 41):
             s = generate_sequence(p)
             result = reeds_sloane(s)
-            assert result.connection.constant == Z4.one
-            assert result.connection.degree == result.lc
+            assert isinstance(result.connection, tuple)
+            assert set(result.connection) <= {0, 1, 2, 3}
+            assert result.connection[0] == 1
+            assert len(result.connection) == result.lc + 1 and result.connection[-1] != 0
             assert verify_connection(s, result.connection)
 
     def test_all_zero_period(self):
         result = reeds_sloane([0] * 10)
-        assert result.lc == 0 and result.connection == zp(1)
+        assert result.lc == 0 and result.connection == (1,)
 
     def test_no_shorter_annihilator_exists(self):
         # minimality cross-checked against the solvability oracle
@@ -226,7 +233,7 @@ class TestReedsSloane:
                 lc, coeffs = minimal_connection(values)
                 assert lc == cyclic_min_degree(list(values)), values
                 assert coeffs[0] == 1
-                assert verify_connection(values, zp(*coeffs)), values
+                assert verify_connection(values, coeffs), values
 
     def test_random_periods_against_oracle(self):
         rng = random.Random(99)
@@ -235,7 +242,7 @@ class TestReedsSloane:
             values = [rng.randrange(4) for _ in range(n)]
             lc, coeffs = minimal_connection(values)
             assert lc == cyclic_min_degree(values)
-            assert verify_connection(values, zp(*coeffs))
+            assert verify_connection(values, coeffs)
 
     def test_any_iterable_reads_as_the_same_period(self):
         # a generator is consumed by its first pass, so the period is read once
@@ -249,6 +256,19 @@ class TestReedsSloane:
     def test_rejects_empty_period(self):
         with pytest.raises(ValueError):
             reeds_sloane([])
+
+    def test_checks_its_result_with_verify_connection_once(self, monkeypatch):
+        calls = []
+
+        def counting(values, connection):
+            calls.append(tuple(connection))
+            return verify_connection(values, connection)
+
+        monkeypatch.setattr(lfsr, "verify_connection", counting)
+        for p in (3, 7, 17):
+            calls.clear()
+            result = reeds_sloane(generate_sequence(p))
+            assert calls == [result.connection]
 
     def test_rejects_a_synthesis_that_does_not_annihilate(self, monkeypatch):
         # 1 + X is monic with unit constant term but does not kill the p = 7 period
@@ -273,7 +293,7 @@ class TestBruteForce:
     def test_impulse_period(self):
         result = brute_force_minimal([1, 0, 0, 0, 0])
         assert result.lc == 5
-        assert result.connection == zp(1, 0, 0, 0, 0, 3)
+        assert result.connection == (1, 0, 0, 0, 0, 3)
 
     def test_all_zero(self):
         assert brute_force_minimal([0, 0, 0]).lc == 0
@@ -287,11 +307,11 @@ class TestBruteForce:
         for values in short + randoms:
             result = brute_force_minimal(values)
             assert result.lc == cyclic_min_degree(values), values
-            got = tuple(result.connection_ints()[1:])
+            got = result.connection[1:]
             # recompute the first lexicographic annihilator naively
             first = None
             for cand in itertools.product(range(4), repeat=result.lc):
-                if verify_connection(values, zp(1, *cand)):
+                if verify_connection(values, (1, *cand)):
                     first = cand
                     break
             if result.lc == 0:
@@ -304,12 +324,16 @@ class TestBruteForce:
 class TestLfsrResult:
     def test_rejects_non_unit_constant(self):
         with pytest.raises(ValueError):
-            LfsrResult(lc=1, connection=zp(2, 1))
+            LfsrResult(lc=1, connection=(2, 1))
 
     def test_rejects_degree_mismatch(self):
         with pytest.raises(ValueError):
-            LfsrResult(lc=3, connection=zp(1, 1))
+            LfsrResult(lc=3, connection=(1, 1))
+        with pytest.raises(ValueError):
+            LfsrResult(lc=2, connection=(1, 1, 0))  # degree 1, not 2
 
-    def test_serialization_order(self):
-        result = LfsrResult(lc=2, connection=zp(1, 0, 3))
-        assert result.connection_ints() == [1, 0, 3]
+    def test_serialization_order(self, capsys):
+        # 1 + X**2 + X**3 + 3X**4, constant term first in the result and in lc's output
+        assert reeds_sloane(generate_sequence(7)).connection == (1, 0, 1, 1, 3)
+        assert cli.main(["lc", "--p", "7"]) == 0
+        assert capsys.readouterr().out == "lc = 4\nconnection = [1, 0, 1, 1, 3]\n"

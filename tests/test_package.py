@@ -15,6 +15,18 @@ def test_all_is_the_readme_library_import():
     assert all(hasattr(cyclo4, name) for name in cyclo4.__all__)
 
 
+def test_readme_library_block_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    # the comment on the synthesis shows the start of the result's repr
+    shown = re.search(r"# (LfsrResult\(.*?)…", block).group(1)
+    assert repr(namespace["result"]).startswith(shown)
+    out = capsys.readouterr().out
+    assert out and "FAIL" not in out
+
+
 def test_perfbench_bindings_resolve(monkeypatch):
     # the benchmark wraps these names and clears these caches; a deletion
     # in the package must not leave it binding something that is gone

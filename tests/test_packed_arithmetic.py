@@ -110,19 +110,6 @@ def test_ring_axioms(args):
     assert ring.element(a.coords) == a and hash(ring.element(a.coords)) == hash(a)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_ring_with(2), st.integers(0, 3000))
-def test_long_sums_stay_exact(args, k):
-    ring, a, b = args
-    total = ring.sum([a] * k + [b])
-    assert total.coords == tuple((k * x + y) % 4 for x, y in zip(a.coords, b.coords))
-
-
-def test_sum_rejects_foreign_elements():
-    with pytest.raises(ValueError):
-        RINGS[0].sum([RINGS[0].one, RINGS[1].one])
-
-
 @pytest.mark.parametrize("p", [31, 73, 89, 127])
 def test_sequence_values_match_oracle_when_r_is_small(p):
     # S(gamma**v) sums up to 2p terms of at most 9 per slot, which exceeds
@@ -148,7 +135,7 @@ def test_sequence_values_match_oracle_when_r_is_small(p):
 def _with_gamma(ws, gamma):
     return SimpleNamespace(
         ring=ws.ring, p=ws.p, beta=ws.beta, raw_gamma=ws.raw_gamma,
-        normalized=ws.normalized, gamma=gamma,
+        normalized=ws.normalized, gamma=gamma, gamma_p=gamma**ws.p,
     )
 
 
@@ -319,9 +306,10 @@ def test_ring_setup_makes_a_bounded_number_of_products(products):
 
 def test_full_report_makes_a_bounded_number_of_products(products):
     full_report(293)
-    # the workspace's 596, the powers by p of check_gamma and the roots
-    # check, and the Horner evaluations of the roots check
-    assert len(products) <= 710
+    # the workspace's 596, beta**p in check_gamma, the one power gamma**p
+    # that check_gamma and the roots check share, and the Horner
+    # evaluations of the roots check
+    assert len(products) <= 699
 
 
 @pytest.mark.parametrize("p", [17, 23, 31, 59, 61])

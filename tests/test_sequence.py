@@ -8,12 +8,8 @@ from cyclo4.cyclotomy import build_classes
 from cyclo4.galois import Z4, construct_ring, find_gamma, powers_of
 from cyclo4.primes import odd_primes
 from cyclo4.ringpoly import RingPolynomial
-from cyclo4.sequence import (
-    QuaternarySequence,
-    class_sum_polynomials,
-    generate_sequence,
-    generating_polynomial,
-)
+from cyclo4.sequence import QuaternarySequence, generate_sequence
+from oracles import generating_polynomial, indicator_polynomials
 
 GOLDEN = {
     3: (0, 0, 2, 2, 3, 1),
@@ -90,7 +86,7 @@ class TestGeneratingPolynomial:
 class TestClassSums:
     def test_p3_indicators(self):
         c = build_classes(3)
-        s0, s1, t0, t1 = class_sum_polynomials(c)
+        s0, s1, t0, t1 = indicator_polynomials(c)
         assert s0 == RingPolynomial.monomial(Z4, 1)
         assert s1 == RingPolynomial.monomial(Z4, 5)
         assert t0 == RingPolynomial.monomial(Z4, 2)
@@ -99,7 +95,7 @@ class TestClassSums:
     def test_partition_sum_is_all_ones(self):
         for p in (3, 5, 7, 11):
             c = build_classes(p)
-            s0, s1, t0, t1 = class_sum_polynomials(c)
+            s0, s1, t0, t1 = indicator_polynomials(c)
             total = (
                 s0
                 + s1
@@ -114,7 +110,7 @@ class TestClassSums:
     def test_assembly_identity(self, p):
         # one period assembles as 2X^p + S1 + 2T0 + 3T1
         c = build_classes(p)
-        s0, s1, t0, t1 = class_sum_polynomials(c)
+        s0, s1, t0, t1 = indicator_polynomials(c)
         two = RingPolynomial.from_ints(Z4, [2])
         three = RingPolynomial.from_ints(Z4, [3])
         assembled = (
@@ -128,7 +124,7 @@ class TestClassSums:
         ring = construct_ring(p)
         _, gamma = find_gamma(ring, p)
         pw = powers_of(gamma, 2 * p)
-        s0, s1, t0, t1 = class_sum_polynomials(c)
+        s0, s1, t0, t1 = indicator_polynomials(c)
         # the two odd-class sums add to 1 at any order-2p unit
         assert s0.evaluate(gamma) + s1.evaluate(gamma) == ring.one
         # doubling: T_i(gamma) = S_i(gamma^2)
