@@ -108,8 +108,9 @@ def cmd_sweep(args) -> int:
         raise ValueError("need 3 <= from <= to")
     records = []
     for p in odd_primes(args.start, args.stop):
+        s = generate_sequence(p)
         t0 = time.perf_counter()
-        lc_rs = reeds_sloane(generate_sequence(p)).lc
+        lc_rs = reeds_sloane(s).lc
         elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
         lc_thm = theorem_lc(p)
         records.append(

@@ -5,6 +5,11 @@ arithmetic, gcd and inverses for the LFSR synthesis, and for constructing
 basic irreducible moduli, an irreducibility test (Ben-Or's first steps,
 then Rabin's) and the ordered search for the canonical (lexicographically
 smallest) irreducible of each degree.
+
+Division, remainders, gcd and inverses all run on one step: cancel the
+leading term of the higher-degree operand by XOR with the other one,
+shifted. Each loop carries the running degree, reads ``bit_length`` once
+per step and calls no other function per step.
 """
 
 from __future__ import annotations
@@ -39,11 +44,14 @@ def mul(a: int, b: int) -> int:
 
 
 def mod(a: int, m: int) -> int:
+    """The remainder of a by a nonzero m."""
     if not m:
         raise ZeroDivisionError("division by the zero polynomial")
     dm = m.bit_length()
-    while a.bit_length() >= dm:
-        a ^= m << (a.bit_length() - dm)
+    da = a.bit_length()
+    while da >= dm:
+        a ^= m << (da - dm)
+        da = a.bit_length()
     return a
 
 
@@ -52,34 +60,57 @@ def mulmod(a: int, b: int, m: int) -> int:
 
 
 def gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, mod(a, b)
+    """Euclid's algorithm in one loop (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 3): each step either swaps the pair so that a
+    has the higher degree, or cancels a's leading term with a shifted b.
+    The cancellations between two swaps are one remainder step."""
+    da, db = a.bit_length(), b.bit_length()
+    while db:
+        if da < db:
+            a, b, da, db = b, a, db, da
+        else:
+            a ^= b << (da - db)
+            da = a.bit_length()
     return a
 
 
 def inverse_mod(a: int, m: int) -> int:
-    """Inverse of a modulo m, for gcd(a, m) = 1."""
+    """Inverse of a modulo m, for gcd(a, m) = 1.
+
+    The extended form of ``gcd``'s loop: each remainder r carries its
+    cofactor s with s*a = r mod m, and a step r0 ^= r1 << k takes
+    s0 ^= s1 << k with it. As in the textbook extended Euclid, the cofactor
+    of the last nonzero remainder has degree below deg m, so it is the
+    inverse, reduced, when that remainder is 1."""
     r0, r1 = m, mod(a, m)
     s0, s1 = 0, 1
-    while r1:
-        q, r = quo_rem(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ mul(q, s1)
+    d0, d1 = r0.bit_length(), r1.bit_length()
+    while d1:
+        if d0 < d1:
+            r0, r1, s0, s1, d0, d1 = r1, r0, s1, s0, d1, d0
+        else:
+            k = d0 - d1
+            r0 ^= r1 << k
+            s0 ^= s1 << k
+            d0 = r0.bit_length()
     if r0 != 1:
         raise ZeroDivisionError("element is not invertible")
-    return mod(s0, m)
+    return s0
 
 
 def quo_rem(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of a by a nonzero b."""
+    """Quotient and remainder of a by a nonzero b, as ``mod`` steps with
+    the quotient bits collected."""
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     q = 0
     db = b.bit_length()
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
+    da = a.bit_length()
+    while da >= db:
+        shift = da - db
         q |= 1 << shift
         a ^= b << shift
+        da = a.bit_length()
     return q, a
 
 

@@ -23,7 +23,9 @@ independent routes compute it:
   linear complexity is deg h + deg g. Minimality is exact, not
   heuristic, by the predictable-degree property of that form. Each
   period costs a few GF(2) gcds, divisions and products on bitmask
-  polynomials.
+  polynomials, and at most one modular inverse: c = 0, with no inverse,
+  whenever its numerator vanishes mod m', as for the p = +-3 (mod 8)
+  sequences.
 * ``brute_force_minimal``: exhaustive search in lexicographic order,
   feasible for small periods; the independent oracle for the synthesis.
 * ``theorem_lc``: the closed form by the residue class of p mod 8/16.
@@ -212,6 +214,20 @@ def minimal_connection(period) -> tuple[int, list[int]]:
     By the predictable-degree property no vector of K with pivot U has a
     smaller shifted degree than (h, c), so that row is the witness and
     the linear complexity is deg h + deg g.
+
+    Three shortcuts keep the GF(2) work to what the basis needs:
+
+    * X**deg g drops out of gcd(A, g1). g1 is the reversal of
+      gcd(S̄, X**n + 1), whose top coefficient is 1, so g1(0) = 1 and X is
+      coprime to g1: gcd(A, g1) = gcd(a0, g1) for a0 = rev(W). The factor
+      stays in c's numerator (a0/gcd(a0, g1)) * X**deg g, which is
+      reduced mod m' before the product.
+    * c is that numerator times a unit mod m', so c = 0 exactly when the
+      numerator is 0 mod m', and then no inverse is computed. This covers
+      a0 = 0 (lift(g) alone annihilates, as for the p = 3 (mod 8)
+      sequences, where deg m' is about 2p), m' = 1 (S̄ = 0), and m'
+      dividing a0 (the p = 5 (mod 8) sequences, where h = g1).
+    * When gcd(a0, g1) = 1 nothing is divided by it.
     """
     values = _period_values(period)
     n = len(values)
@@ -229,16 +245,19 @@ def minimal_connection(period) -> tuple[int, list[int]]:
         raise RuntimeError("internal: S*lift(g) is not even cyclically")
     w0 = _layer(folded, 1)
 
-    a = _reverse(w0, n) << gdeg
+    a0 = _reverse(w0, n)
     b = _reverse(sbar, n)
     # X**n + 1 is its own reciprocal, so g1 = gcd(b, X**n + 1) and m' are
-    # the reciprocals of gcd(S̄, X**n + 1) and g. When b = 0, g1 = X**n + 1,
-    # m' = 1, and c = 0 as inverse_mod(0, 1) = 0.
+    # the reciprocals of gcd(S̄, X**n + 1) and g.
     g1 = _reverse(sgcd, f2.degree(sgcd) + 1)
     m1 = _reverse(gbar, gdeg + 1)
-    common = f2.gcd(a, g1)
-    h = f2.exact_div(g1, common)
-    c = f2.mulmod(f2.exact_div(a, common), f2.inverse_mod(f2.exact_div(b, g1), m1), m1)
+    common = f2.gcd(a0, g1)
+    if common == 1:
+        h, num = g1, a0
+    else:
+        h, num = f2.exact_div(g1, common), f2.exact_div(a0, common)
+    num = f2.mod(num << gdeg, m1)
+    c = f2.mulmod(num, f2.inverse_mod(f2.exact_div(b, g1), m1), m1) if num else 0
     degree = f2.degree(h) + gdeg
     if degree > n:
         raise RuntimeError("internal: no annihilator up to the period length")
@@ -247,12 +266,12 @@ def minimal_connection(period) -> tuple[int, list[int]]:
     ulift = _lift_reversed(h, degree - gdeg + 1)
     prod = _cyclic_product(glift, ulift, degree + 1)  # degree + 1 slots: no wrap
     vlift = _lift_reversed(c, degree + 1)
-    coeffs = [(x + 2 * y) & 3 for x, y in zip(prod, vlift)]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) - 1 != degree:
+    # prod + 2*vlift, slot by slot: a slot holds at most 3 + 2, so no carry
+    packed = int.from_bytes(prod, "little") + 2 * int.from_bytes(vlift, "little")
+    coeffs = packed.to_bytes(degree + 1, "little").translate(_MOD4)
+    if not coeffs[-1]:
         raise RuntimeError("internal: witness degree disagrees with the search")
-    return degree, coeffs
+    return degree, list(coeffs)
 
 
 def reeds_sloane(s) -> LfsrResult:
@@ -263,7 +282,7 @@ def reeds_sloane(s) -> LfsrResult:
     """
     values = _period_values(s)
     lc, coeffs = minimal_connection(values)
-    if not verify_connection(values, coeffs):
+    if not verify_connection(values, bytes(coeffs)):
         raise RuntimeError("internal: synthesized connection does not annihilate")
     return LfsrResult(lc=lc, connection=tuple(coeffs))
 

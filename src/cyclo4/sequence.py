@@ -25,7 +25,7 @@ class QuaternarySequence:
         require_odd_prime(self.p)
         if len(self.values) != 2 * self.p:
             raise ValueError("period must have length 2p")
-        if any(v not in (0, 1, 2, 3) for v in self.values):
+        if not set(self.values) <= {0, 1, 2, 3}:
             raise ValueError("sequence values must lie in {0, 1, 2, 3}")
         if self.values[0] != 0 or self.values[self.p] != 2:
             raise ValueError("anchors violated: s_0 = 0 and s_p = 2 are forced")

@@ -9,15 +9,15 @@ by the monic f, the pairwise unit-difference scan over a power table, and
 the sequence values S(gamma**v) summed one term at a time. The
 generating polynomial and the class indicator polynomials are polynomials
 over Z4 read straight off the period and the class sets. Over GF(2)
-(bitmask polynomials) there is a coefficient-by-coefficient product,
-irreducibility by exhaustive trial division, by Ben-Or's test and by the
-Rabin test, and an incremental column echelon that finds the minimal
-connection polynomial by a route independent of the library's module
-reduction, with a plain cyclic annihilation test. Everything here is
+(bitmask polynomials) there is a coefficient-by-coefficient product, a
+schoolbook remainder and Euclid's gcd on it, irreducibility by exhaustive
+trial division, by Ben-Or's test and by the Rabin test (both squaring by
+bit spreading and that remainder), and an incremental column echelon
+that finds the minimal connection polynomial by a route independent of
+the library's module reduction, with a plain cyclic annihilation test. Everything here is
 deliberately naive and separate from the library's own code paths. The
 exceptions compute with the library's tested arithmetic and are naive in
-what they do with it: Ben-Or's and the Rabin test square with the bitmask
-product or remainder; dense Horner evaluates a polynomial with one ring
+what they do with it: dense Horner evaluates a polynomial with one ring
 product per coefficient; the scan for an element of order p powers every
 unit candidate in turn, without assuming X is Teichmüller; the
 Teichmüller test squares X r times; the power table is a plain chain of
@@ -32,7 +32,6 @@ Euler's criterion, without the cyclotomic classes.
 
 from __future__ import annotations
 
-from cyclo4 import f2
 from cyclo4.galois import Z4, powers_of
 from cyclo4.ringpoly import RingPolynomial
 
@@ -198,17 +197,22 @@ def gf2_gcd(a: int, b: int) -> int:
     return a
 
 
+def gf2_square_mod(t: int, h: int) -> int:
+    """t**2 mod h by bit spreading (bit k moves to bit 2k, which is reading
+    the binary digits of t in base 4) and the schoolbook remainder."""
+    return gf2_divmod(int(bin(t)[2:], 4), h)[1]
+
+
 def gf2_is_irreducible_ben_or(h: int) -> bool:
     """Irreducibility by Ben-Or's test: gcd(X**(2**i) - X, h) = 1 for
-    i = 1 .. deg h // 2, squaring by bit spreading and reducing with the
-    library's plain ``mod`` at every step; exact for every degree."""
-    r = f2.degree(h)
+    i = 1 .. deg h // 2, squaring by bit spreading; exact for every degree."""
+    r = h.bit_length() - 1
     if r < 1:
         return False
     t = 2
     for _ in range(r // 2):
-        t = f2.mod(int(bin(t)[2:], 4), h)
-        if f2.gcd(t ^ 2, h) != 1:
+        t = gf2_square_mod(t, h)
+        if gf2_gcd(t ^ 2, h) != 1:
             return False
     return True
 
@@ -216,9 +220,8 @@ def gf2_is_irreducible_ben_or(h: int) -> bool:
 def gf2_is_irreducible_rabin(h: int) -> bool:
     """Irreducibility by the Rabin test: X**(2**r) = X mod h, and
     gcd(X**(2**(r/q)) - X, h) = 1 for each prime q dividing r = deg h.
-    Exact for every degree; squares with the library's bitmask ``mulmod``
-    and ``gcd``, which are tested against the schoolbook forms above."""
-    r = f2.degree(h)
+    Exact for every degree; squares by bit spreading."""
+    r = h.bit_length() - 1
     if r <= 0:
         return False
     if r == 1:
@@ -229,8 +232,8 @@ def gf2_is_irreducible_rabin(h: int) -> bool:
     primes = [q for q in range(2, r + 1) if r % q == 0 and all(q % d for d in range(2, q))]
     checkpoints = {r // q for q in primes}
     for i in range(1, r + 1):
-        t = f2.mulmod(t, t, h)
-        if i in checkpoints and f2.gcd(t ^ x, h) != 1:
+        t = gf2_square_mod(t, h)
+        if i in checkpoints and gf2_gcd(t ^ x, h) != 1:
             return False
     return t == x
 

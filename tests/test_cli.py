@@ -1,8 +1,11 @@
 import json
+import types
 
 import pytest
 
+from cyclo4 import cli
 from cyclo4.cli import CSV_HEADER, main
+from cyclo4.sequence import generate_sequence
 
 
 def run(capsys, *argv):
@@ -169,6 +172,20 @@ class TestSweep:
             tables.append([line.rsplit(",", 1)[0] for line in lines])
         capsys.readouterr()
         assert tables[0] == tables[1] and len(tables[0]) == 1 + 17
+
+    def test_elapsed_ms_times_the_synthesis_alone(self, capsys, monkeypatch):
+        # on a clock that only sequence generation advances, the column reads 0
+        now = [0.0]
+
+        def generate(p):
+            now[0] += 5.0
+            return generate_sequence(p)
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(cli, "generate_sequence", generate)
+        _, out, _ = run(capsys, "sweep", "--from", "3", "--to", "7")
+        assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["0", "0", "0"]
+        assert now[0] == 15.0
 
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--from", "3", "--to", "10",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cyclo4 import f2
+from cyclo4.sequence import generate_sequence
 
 # bitmask polynomials of degree up to 200, many of them short
 _POLYS = st.integers(0, 200).flatmap(lambda d: st.integers(0, (1 << (d + 1)) - 1))
@@ -203,6 +204,60 @@ def test_inverse_mod_round_trips():
         a = rng.randrange(1, 1 << 11)
         inv = f2.inverse_mod(a, m)
         assert f2.mulmod(a, inv, m) == 1
+
+
+# polynomials of degree 1 .. 100, and moduli with a proper factor as products of two
+_FACTORS = st.integers(1, 100).flatmap(lambda d: st.integers(1 << d, (2 << d) - 1))
+_COMPOSITES = st.tuples(_FACTORS, _FACTORS).map(lambda fg: oracles.gf2_mul(*fg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POLYS, _COMPOSITES)
+def test_inverse_mod_on_composite_moduli(a, m):
+    if oracles.gf2_gcd(a, m) == 1:
+        inv = f2.inverse_mod(a, m)
+        assert f2.degree(inv) < f2.degree(m)
+        assert oracles.gf2_divmod(oracles.gf2_mul(a, inv), m)[1] == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            f2.inverse_mod(a, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYS, _POLYS)
+def test_gcd_matches_schoolbook_in_both_orders(a, b):
+    want = oracles.gf2_gcd(a, b)
+    assert f2.gcd(a, b) == want
+    assert f2.gcd(b, a) == want
+    assert f2.gcd(a, 0) == a and f2.gcd(0, a) == a
+
+
+def _odd_layer(p: int) -> int:
+    """S mod 2 of the period-2p sequence, as a bitmask polynomial."""
+    return sum(1 << i for i, v in enumerate(generate_sequence(p).values) if v % 2)
+
+
+@pytest.mark.parametrize("p", [997, 1297])
+def test_kernels_at_synthesis_sizes(p):
+    # the synthesis's operands at 2p = 1994 and 2594 bits, far past the
+    # hypothesis draws: S mod 2 against X**2p + 1, whose gcd g has degree 2
+    # (p = 997) and 1946 (p = 1297)
+    sbar, xn1 = _odd_layer(p), (1 << 2 * p) | 1
+    g = oracles.gf2_gcd(sbar, xn1)
+    assert g != 1
+    assert f2.gcd(sbar, xn1) == g == f2.gcd(xn1, sbar)
+    m, rem = oracles.gf2_divmod(xn1, g)
+    assert rem == 0
+    assert f2.quo_rem(xn1, g) == (m, 0) and f2.exact_div(xn1, g) == m
+    assert f2.quo_rem(sbar, m) == oracles.gf2_divmod(sbar, m)
+    assert f2.mod(sbar, m) == oracles.gf2_divmod(sbar, m)[1]
+    # S/g is coprime to the composite (X**2p + 1)/g; S itself shares g with X**2p + 1
+    a = f2.exact_div(sbar, g)
+    inv = f2.inverse_mod(a, m)
+    assert f2.degree(inv) < f2.degree(m)
+    assert oracles.gf2_divmod(f2.mul(a, inv), m)[1] == 1
+    with pytest.raises(ZeroDivisionError):
+        f2.inverse_mod(sbar, xn1)
 
 
 def test_inverse_of_zero_rejected():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import subprocess
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclo4
-from cyclo4 import cli, lfsr
+from cyclo4 import cli, f2, lfsr
 from cyclo4.galois import Z4
 from cyclo4.lfsr import (
     LfsrResult,
@@ -182,6 +183,90 @@ class TestAgainstEchelon:
     def test_closed_form_for_every_odd_prime(self, start, stop):
         primes = odd_primes(start, stop)
         assert [p for p in primes if reeds_sloane(generate_sequence(p)).lc != theorem_lc(p)] == []
+
+
+# sha256 of bytes(connection), one prime per residue class in 500 .. 1000
+_CONNECTION_DIGESTS = {
+    509: (1018, "c79efb48c0d9bcdaf174ca20245010b7719026281604537b9ffb59495f32d11e"),
+    523: (1045, "a6af5bcbe3a36e36557d624184304132e95d016b313916becd59174676a35307"),
+    569: (286, "ed578d7b094524a52b863269b00e1034dab151bbb47b0960fd75023a076a0c3a"),
+    593: (594, "b97c82720f3abc9443e9d3750f62b0827f8763165fa4f161f86a6f1e84be1865"),
+    751: (751, "ef5132bb29a4f1f5f3a2a75dbd0d850b123f370616ba5ae321f13e012aad92c8"),
+    983: (492, "b834c621a265dd32195ee49a8cc66b18f398242148a052299b2f969ef9581a36"),
+}
+
+
+def test_connection_digests_pinned():
+    assert {classify_prime(p) for p in _CONNECTION_DIGESTS} == set(ResidueClass)
+    for p, (lc, digest) in _CONNECTION_DIGESTS.items():
+        result = reeds_sloane(generate_sequence(p))
+        assert result.lc == lc, p
+        assert hashlib.sha256(bytes(result.connection)).hexdigest() == digest, p
+
+
+def _shortcuts(values, monkeypatch) -> set[str]:
+    """Which shortcuts ``minimal_connection`` takes on a nonzero period,
+    read off its calls gcd(S̄, X**n + 1), gcd(a0, g1) and inverse_mod."""
+    calls = []
+
+    def spy(name):
+        fn = getattr(f2, name)
+
+        def wrapped(*args):
+            out = fn(*args)
+            calls.append((name, args, out))
+            return out
+
+        return wrapped
+
+    with monkeypatch.context() as m:
+        m.setattr(f2, "gcd", spy("gcd"))
+        m.setattr(f2, "inverse_mod", spy("inverse_mod"))
+        minimal_connection(values)
+    _, (a0, _), common = calls[1]
+    found = {"inverse"} if any(name == "inverse_mod" for name, _, _ in calls) else set()
+    if not a0:
+        found.add("a0 = 0")
+    if common == 1:
+        found.add("common = 1")
+    if not any(v % 2 for v in values):
+        found.add("m' = 1")
+    return found
+
+
+def _nonzero_periods():
+    rng = random.Random(16)
+    short = [v for n in range(1, 5) for v in itertools.product(range(4), repeat=n) if any(v)]
+    randoms = [[rng.randrange(4) for _ in range(rng.randrange(5, 40))] for _ in range(200)]
+    sequences = [generate_sequence(p).values for p in odd_primes(3, 60)]
+    return short + randoms + sequences
+
+
+@pytest.mark.parametrize("shortcut", ["a0 = 0", "common = 1", "m' = 1"])
+def test_synthesis_shortcuts_match_echelon(shortcut, monkeypatch):
+    # a0 = 0 and m' = 1 give c = 0 with no inverse; common = 1 skips the
+    # exact divisions by gcd(a0, g1)
+    hits = 0
+    for values in _nonzero_periods():
+        found = _shortcuts(values, monkeypatch)
+        if shortcut in found:
+            hits += 1
+            assert shortcut == "common = 1" or "inverse" not in found, values
+            _assert_matches_echelon(values)
+    assert hits >= 10
+
+
+def test_sequences_take_the_shortcuts_by_residue_class(monkeypatch):
+    # p = 3 (mod 8): W = 0, so a0 = 0; p = 5 (mod 8): common = 1 and m'
+    # divides a0, so c = 0 with no inverse; the other classes need it
+    for p in odd_primes(3, 300):
+        found = _shortcuts(generate_sequence(p).values, monkeypatch)
+        if p % 8 == 3:
+            assert found == {"a0 = 0"}, p
+        elif p % 8 == 5:
+            assert found == {"common = 1"}, p
+        else:
+            assert "inverse" in found and "a0 = 0" not in found, p
 
 
 def test_import_leaves_numpy_out():
