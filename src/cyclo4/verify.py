@@ -24,15 +24,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cyclotomy import GeneralizedCyclotomy, build_classes
-from .galois import Z4, GaloisRing, GaloisRingElement, construct_ring, find_gamma
+from .galois import GaloisRing, GaloisRingElement, construct_ring, find_gamma
 from .lfsr import reeds_sloane, theorem_lc
 from .primes import require_odd_prime
-from .ringpoly import RingPolynomial
 from .sequence import generate_sequence
 
 # factorization and lemma9 are proved in O(p) and need no cap; it remains
 # only because verify's output, and the benchmark's output check with it,
-# pin SKIP above 61. It goes with the benchmark-side step of ROADMAP item 2.
+# pin SKIP above 61. It goes with the benchmark-side step of ROADMAP item 3.
 DEFAULT_EXPANSION_CAP = 61
 
 
@@ -128,22 +127,21 @@ def normalize_gamma(
 
 
 class _Workspace:
-    """Everything the per-prime checks share: ring, classes, gamma, its class sums."""
+    """What the per-prime checks share, each field computed when first read."""
 
     def __init__(self, p: int):
         require_odd_prime(p)
         self.p = p
-        self.classes = build_classes(p)
-        self.ring = construct_ring(p)
-        self.beta, self.raw_gamma = find_gamma(self.ring, p)
-        self.normalized = normalize_gamma(self.ring, self.classes, self.raw_gamma)
-        self.gamma = self.normalized.gamma
-        self.seq = generate_sequence(p, self.classes)
 
-    @cached_property
-    def gamma_p(self) -> GaloisRingElement:
-        """gamma**p, computed once for the gamma, factorization and roots checks."""
-        return self.gamma**self.p
+    classes = cached_property(lambda ws: build_classes(ws.p))
+    ring = cached_property(lambda ws: construct_ring(ws.p))
+    _found = cached_property(lambda ws: find_gamma(ws.ring, ws.p))  # (beta, raw gamma)
+    beta = property(lambda ws: ws._found[0])
+    raw_gamma = property(lambda ws: ws._found[1])
+    normalized = cached_property(lambda ws: normalize_gamma(ws.ring, ws.classes, ws.raw_gamma))
+    gamma = cached_property(lambda ws: ws.normalized.gamma)
+    seq = cached_property(lambda ws: generate_sequence(ws.p, ws.classes))
+    gamma_p = cached_property(lambda ws: ws.gamma**ws.p)
 
 
 def check_gamma(ws: _Workspace) -> CheckResult:
@@ -308,7 +306,6 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
     """
     ring, p, classes = ws.ring, ws.p, ws.classes
     n = 2 * p
-    s0 = ws.normalized.s0
     seq = ws.seq.values
     problems = []
     value = ring.embed(sum(seq))
@@ -337,7 +334,7 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
     if problems:
         # one value per class stands for the class only once the orbits hold
         return CheckResult("lemma8", CheckStatus.FAIL, problems[0])
-    sums = ws.normalized.sums
+    s0, sums = ws.normalized.s0, ws.normalized.sums
     class_name = {u: name for name, block in blocks.items() for u in block}
     least = [min(block) for block in blocks.values()]
     values = {}
@@ -456,35 +453,38 @@ def check_factorizations(ws: _Workspace) -> list[CheckResult]:
     return [fact, nine]
 
 
+def _roots_witness(p: int) -> list[int]:
+    """X**2p + 2X**p + 1 = (X**p + 1)**2 over Z4, constant term first."""
+    return [1] + [0] * (p - 1) + [2] + [0] * (p - 1) + [1]
+
+
+def _divide_by_monic(w: list[int], d: list[int]) -> tuple[int, list[int]]:
+    """(q, w - q*d) over Z4 for lists of one length, d monic: q is w's lead."""
+    return w[-1], [(c - w[-1] * e) % 4 for c, e in zip(w, d)]
+
+
 def check_roots_guard(ws: _Workspace) -> CheckResult:
     """Vanishing at every gamma**j must not imply divisibility over Z4.
 
-    The witness X**2p - 1 + 2(X**p + 1) evaluates to zero at every power
-    of gamma yet leaves the nonzero remainder 2X**p + 2 under division by
-    X**2p - 1. At x = gamma**j it is 2 + 2x**p, and x**p = gamma**(jp) is 1
-    for even j and gamma**p for odd j, so two points stand for all 2p.
+    The witness X**2p + 2X**p + 1 = X**2p - 1 + 2(X**p + 1) has terms at
+    X**0, X**p and X**2p only, so at x = gamma**j it is y*y + y + y + 1
+    with y = x**p: 1 for even j and gamma**p for odd j, two points for all
+    2p. Divided by the monic X**2p - 1, it leaves the remainder 2X**p + 2.
     """
     ring, p = ws.ring, ws.p
-    n = 2 * p
-    coeffs = [0] * (n + 1)
-    coeffs[0], coeffs[p], coeffs[n] = 1, 2, 1  # X**0: -1 + 2
-    witness = RingPolynomial.from_ints(Z4, coeffs)
+    witness = _roots_witness(p)
     problems = []
-    two, gamma_p = ring.embed(2), ws.gamma_p
-    for j, x in enumerate((ring.one, gamma_p)):
-        if two + x + x != ring.zero:  # 2 + 2*x without a ring product
+    for j, y in enumerate((ring.one, ws.gamma_p)):
+        if sum((y * y,) * witness[-1] + (y,) * witness[p], ring.embed(witness[0])) != ring.zero:
             problems.append(f"witness does not vanish at gamma^{j}")
             break
-    for j, x in ((0, ring.one), (1, ws.gamma), (p, gamma_p)):
-        if witness.evaluate(x) != ring.zero:
-            problems.append(f"Horner evaluation nonzero at gamma^{j}")
-            break
-    modulus = RingPolynomial.from_ints(Z4, [-1] + [0] * (n - 1) + [1])
-    _, rem = divmod(witness, modulus)
-    if rem.is_zero:
+    divisor = [3] + [0] * (2 * p - 1) + [1]  # X**2p - 1
+    quotient, rem = _divide_by_monic(witness, divisor)
+    if [(quotient * d + r) % 4 for d, r in zip(divisor, rem)] != witness:
+        problems.append("quotient * (X^2p - 1) + remainder != witness")
+    if not any(rem):
         problems.append("witness is divisible by X^2p - 1, guard violated")
-    expected_rem = RingPolynomial.from_ints(Z4, [2] + [0] * (p - 1) + [2])
-    if rem != expected_rem:
+    if rem != [2] + [0] * (p - 1) + [2] + [0] * p:
         problems.append("unexpected remainder under division by X^2p - 1")
     detail = problems[0] if problems else "vanishes at all gamma^j yet is not divisible"
     return CheckResult("roots", CheckStatus.FAIL if problems else CheckStatus.PASS, detail)

@@ -106,6 +106,10 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--p", "2")
         assert code == 1
 
+    def test_rejects_a_composite_when_no_check_needs_the_ring(self, capsys):
+        code, out, err = run(capsys, "verify", "--p", "9", "--lemmas", "5")
+        assert code == 1 and out == "" and "odd prime" in err
+
     def test_skip_reported_for_pm3(self, capsys):
         code, out, _ = run(capsys, "verify", "--p", "5", "--lemmas", "9")
         assert code == 0

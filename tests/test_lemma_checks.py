@@ -45,6 +45,15 @@ def test_agrees_with_the_quadratic_oracles_below_500():
         _assert_agree(_Workspace(p))
 
 
+def _computed(p):
+    """A workspace whose gamma, class sums and period are computed from the
+    true classes: classes swapped in afterwards reach the checks alone, not
+    the values derived from them."""
+    ws = _Workspace(p)
+    ws.normalized, ws.seq
+    return ws
+
+
 def _swap(classes, a, b, other="d1", **changes):
     """The classes with a in D0 and b in the class ``other`` trading places."""
     moved = {other: getattr(classes, other) - {b} | {a}}
@@ -139,7 +148,7 @@ def test_lemma8_rejects_a_period_not_fixed_by_g_squared(p):
 
 @pytest.mark.parametrize("p", (7, 13, 17, 29))
 def test_lemma8_rejects_a_class_that_is_not_an_orbit(p):
-    ws = _Workspace(p)
+    ws = _computed(p)
     c = ws.classes
     ws.classes = _swap(c, max(c.d0), max(c.d1))
     got = check_lemma4_lemma8(ws)
@@ -148,10 +157,22 @@ def test_lemma8_rejects_a_class_that_is_not_an_orbit(p):
 
 
 @pytest.mark.parametrize("p", (7, 13, 17, 29))
+def test_lemma8_rejects_broken_classes_before_reading_the_class_sums(p):
+    # the class sums come from the classes, so a check that has already
+    # found them broken must not compute the sums from them
+    ws = _Workspace(p)
+    ws.seq
+    c = ws.classes
+    ws.classes = _swap(c, max(c.d0), max(c.d1))
+    assert check_lemma4_lemma8(ws).status is CheckStatus.FAIL
+    assert "normalized" not in vars(ws)
+
+
+@pytest.mark.parametrize("p", (7, 13, 17, 29))
 def test_lemma8_rejects_classes_that_do_not_partition(p):
     # D1 = D0 and E1 = E0 are <g^2>-orbits, but they cover half of Z_2p
     # twice, so the class sums no longer add up to the values of S
-    ws = _Workspace(p)
+    ws = _computed(p)
     c = ws.classes
     ws.classes = dataclasses.replace(c, d1=c.d0, e1=c.e0)
     got = check_lemma4_lemma8(ws)
@@ -162,7 +183,7 @@ def test_lemma8_rejects_classes_that_do_not_partition(p):
 
 @pytest.mark.parametrize("p", (31, 293))
 def test_lemma8_makes_a_bounded_number_of_ring_sums(p, monkeypatch):
-    ws = _Workspace(p)
+    ws = _computed(p)  # the chain of class sums is not the check's to count
     sums, products = [], []
     real_add, real_mul = GaloisRingElement.__add__, GaloisRing._mul_packed
 
@@ -268,7 +289,7 @@ def test_factorizations_agree_with_the_expanded_products_above_the_cap(monkeypat
 
 @pytest.mark.parametrize("p", (5, 7, 13, 17, 31, 61))
 def test_factorization_rejects_an_odd_member_swapped_with_an_even_one(p):
-    ws = _Workspace(p)
+    ws = _computed(p)
     c = ws.classes
     ws.classes = _swap(c, max(c.d0), max(c.e0), other="e0")
     fact, _ = _statuses_agree(ws)
@@ -277,7 +298,7 @@ def test_factorization_rejects_an_odd_member_swapped_with_an_even_one(p):
 
 @pytest.mark.parametrize("p", (5, 7, 13, 17, 31, 61))
 def test_factorization_rejects_even_classes_that_overlap(p):
-    ws = _Workspace(p)
+    ws = _computed(p)
     c = ws.classes
     ws.classes = dataclasses.replace(c, e1=c.e1 | {min(c.e0)})
     fact, _ = _statuses_agree(ws)
@@ -286,7 +307,7 @@ def test_factorization_rejects_even_classes_that_overlap(p):
 
 @pytest.mark.parametrize("p", (7, 17, 23, 31, 41, 47))
 def test_lemma9_rejects_a_member_swapped_between_d0_and_d1(p):
-    ws = _Workspace(p)
+    ws = _computed(p)
     c = ws.classes
     ws.classes = _swap(c, max(c.d0), max(c.d1))
     fact, nine = _statuses_agree(ws)
@@ -334,9 +355,8 @@ def test_lemma9_proves_nothing_where_x_is_not_teichmuller():
     # products are still integral, but the check cannot show it, and fails
     # rather than pass unproved
     ws = _Workspace(7)
-    ring = GaloisRing(RingPolynomial.from_ints(Z4, [1, 1, 2, 1]))
-    ws.ring = ring
-    ws.beta, ws.gamma = find_gamma(ring, 7)
+    ws.ring = GaloisRing(RingPolynomial.from_ints(Z4, [1, 1, 2, 1]))
+    ws.gamma = ws.raw_gamma  # find_gamma's on that ring, not normalized
     fact, nine = check_factorizations(ws)
     assert (fact.status, fact.detail) == _expansion_verdicts(ws)[0]
     assert _expansion_verdicts(ws)[1][0] is CheckStatus.PASS

@@ -296,6 +296,7 @@ def test_ring_setup_makes_a_bounded_number_of_products(products):
         assert len(products) <= ring.r + 40
         products.clear()
         ws = _Workspace(293)
+        ws.normalized  # the fields are lazy: gamma and its class sums, read here
         # the ring's r - 9 squarings, two powers by p of 11 products each,
         # and p - 2 for the chain of the class sums
         assert len(products) <= (ws.ring.r - 9) + 22 + (293 - 2)
@@ -307,14 +308,15 @@ def test_ring_setup_makes_a_bounded_number_of_products(products):
 def test_full_report_makes_a_bounded_number_of_products(products):
     full_report(293)
     # the workspace's 596, beta**p in check_gamma, the one power gamma**p
-    # that check_gamma and the roots check share, and the Horner
-    # evaluations of the roots check
-    assert len(products) <= 699
+    # that check_gamma and the roots check share, three for the quadratics
+    # of lemma6 and lemma7, and the roots check's squares of 1 and gamma**p
+    assert len(products) <= 623
 
 
 @pytest.mark.parametrize("p", [17, 23, 31, 59, 61])
 def test_factorization_check_expands_no_product(p, products, monkeypatch):
     ws = _Workspace(p)
+    ws.normalized  # gamma, built before the count starts
     poly_products = []
     real = RingPolynomial.__mul__
 
@@ -342,7 +344,8 @@ def test_workspace_memory_stays_linear_in_r():
     powers_of.cache_clear()
     tracemalloc.start()
     try:
-        _Workspace(1019)
+        ws = _Workspace(1019)
+        ws.normalized, ws.seq  # the fields are lazy: what an unfiltered report builds
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

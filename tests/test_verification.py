@@ -136,29 +136,70 @@ class TestIndividualChecks:
             assert check.detail == "skipped: p > expansion cap 61"
 
 
+# witnesses the guard must reject, with the first problem it names
+WITNESS_MUTANTS = {
+    # the 2X**p term dropped: X**2p + 1 is 2 wherever x**2p = 1
+    "no-2Xp": (
+        lambda p: [1] + [0] * (2 * p - 1) + [1],
+        "witness does not vanish at gamma^0",
+    ),
+    # X**2p - 1 itself vanishes at every gamma**j, and it divides itself
+    "X2p-1": (
+        lambda p: [3] + [0] * (2 * p - 1) + [1],
+        "witness is divisible by X^2p - 1, guard violated",
+    ),
+}
+
+
 class TestRootsGuard:
-    @pytest.mark.parametrize("p", (3, 5, 7))
-    def test_vanishing_without_divisibility(self, p, workspaces):
-        ws = workspaces[p]
+    @pytest.mark.parametrize("p", list(odd_primes(3, 61)))
+    def test_vanishing_without_divisibility(self, p):
+        # the ring-element polynomial oracle: Horner at all 2p powers of
+        # gamma and a long division, against the guard's Z4 lists
+        ws = _Workspace(p)
         n = 2 * p
-        coeffs = [0] * (n + 1)
-        coeffs[0], coeffs[p], coeffs[n] = 1, 2, 1   # X^2p - 1 + 2(X^p + 1)
+        coeffs = verify._roots_witness(p)   # X^2p - 1 + 2(X^p + 1)
         witness = RingPolynomial.from_ints(Z4, coeffs)
         for x in powers_of(ws.gamma, n):
             assert witness.evaluate(x) == ws.ring.zero
-        modulus = RingPolynomial.from_ints(Z4, [-1] + [0] * (n - 1) + [1])
-        _, rem = divmod(witness, modulus)
+        divisor = [-1] + [0] * (n - 1) + [1]
+        quotient, rem = divmod(witness, RingPolynomial.from_ints(Z4, divisor))
+        int_quotient, int_rem = verify._divide_by_monic(coeffs, [d % 4 for d in divisor])
+        assert quotient == RingPolynomial.from_ints(Z4, [int_quotient])
+        assert rem == RingPolynomial.from_ints(Z4, int_rem)
         assert not rem.is_zero
         assert rem == RingPolynomial.from_ints(Z4, [2] + [0] * (p - 1) + [2])
+        assert check_roots_guard(ws).status is CheckStatus.PASS
 
     @pytest.mark.parametrize("p", (3, 5, 7))
     def test_vanishing_is_checked_at_gamma_to_the_p(self, p, workspaces):
-        # 2**p = 0, so the witness 2x**p + 2 at x = 2 is 2: the vanishing
-        # first fails at gamma^1, where gamma**p stands for every odd j
+        # at gamma = 2, gamma**p = 2**p = 0 and the witness y*y + 2y + 1 is 1:
+        # the vanishing first fails at gamma^1, where gamma**p stands for
+        # every odd j
         ring, two = workspaces[p].ring, workspaces[p].ring.embed(2)
-        got = check_roots_guard(SimpleNamespace(ring=ring, p=p, gamma=two, gamma_p=two**p))
+        got = check_roots_guard(SimpleNamespace(ring=ring, p=p, gamma_p=two**p))
         assert got.status is CheckStatus.FAIL
         assert got.detail == "witness does not vanish at gamma^1"
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 17))
+    @pytest.mark.parametrize("wrong", ("2", "X"))
+    def test_rejects_a_wrong_gamma_to_the_p(self, p, wrong, workspaces):
+        # y*y + 2y + 1 = (y + 1)**2 is 1 at y = 2, and at y = X the square
+        # of the unit X + 1
+        ring = workspaces[p].ring
+        y = ring.embed(2) if wrong == "2" else ring.x
+        got = check_roots_guard(SimpleNamespace(ring=ring, p=p, gamma_p=y))
+        assert got.status is CheckStatus.FAIL
+        assert got.detail == "witness does not vanish at gamma^1"
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 17))
+    @pytest.mark.parametrize("mutant", WITNESS_MUTANTS)
+    def test_rejects_a_wrong_witness(self, p, mutant, workspaces, monkeypatch):
+        witness, detail = WITNESS_MUTANTS[mutant]
+        monkeypatch.setattr(verify, "_roots_witness", witness)
+        got = check_roots_guard(workspaces[p])
+        assert got.status is CheckStatus.FAIL
+        assert got.detail == detail
 
     def test_division_refuses_non_unit_leads_rather_than_guessing(self):
         # no code path may divide by 2X - 2 even though 1 and 3 are roots
@@ -212,6 +253,41 @@ class TestFullReport:
     def test_filtered_report(self):
         report = full_report(7, only={"lemma6", "lemma7"})
         assert [c.check_id for c in report.checks] == ["lemma6", "lemma7"]
+
+    @pytest.mark.parametrize("only", [{"lemma3", "lemma5"}, {"theorem"}])
+    @pytest.mark.parametrize("p", (7, 4003))
+    def test_checks_that_read_no_ring_build_none(self, p, only, monkeypatch):
+        # p = 4003 (r = 4002): the ring, gamma and its class sums take
+        # seconds there, the classes and the synthesis milliseconds
+        def refuse(*args):
+            raise AssertionError("the ring or gamma was built")
+
+        monkeypatch.setattr(verify, "construct_ring", refuse)
+        monkeypatch.setattr(verify, "find_gamma", refuse)
+        report = full_report(p, only=only)
+        assert [c.check_id for c in report.checks] == sorted(only)
+        assert all(c.status is CheckStatus.PASS for c in report.checks)
+
+    def test_a_ring_check_builds_the_ring_once(self, monkeypatch):
+        built = []
+        real = verify.construct_ring
+
+        def counting(p):
+            built.append(p)
+            return real(p)
+
+        monkeypatch.setattr(verify, "construct_ring", counting)
+        assert full_report(17, only={"lemma6"}).ok
+        assert built == [17]
+
+    def test_filtered_report_still_rejects_a_composite(self):
+        with pytest.raises(ValueError, match="odd prime"):
+            full_report(9, only={"lemma5"})
+
+    @pytest.mark.parametrize("p", (3, 7, 17, 31, 59, 137))
+    def test_each_check_alone_matches_the_full_report(self, p):
+        for check in full_report(p).checks:
+            assert full_report(p, only={check.check_id}).checks == (check,)
 
     def test_render_format(self):
         report = full_report(3, only={"lemma5"})
