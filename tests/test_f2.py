@@ -1,3 +1,4 @@
+import hashlib
 import random
 import signal
 
@@ -89,6 +90,126 @@ def test_search_fallback_off_table():
         f2.lex_smallest_irreducible.cache_clear()
 
 
+# sha256 of ",".join(hex(lex_smallest_irreducible(r)) for r = 1 .. 400),
+# computed with the plain ordered search (no sieve, every step a full gcd)
+_SEARCH_DIGEST_1_TO_400 = "989c21714af04ee7b54d2ae830e334a8ea001290fdef9cd1a664310261fe74d1"
+
+
+def test_search_digest_pinned():
+    f2.lex_smallest_irreducible.cache_clear()
+    try:
+        text = ",".join(hex(f2.lex_smallest_irreducible(r)) for r in range(1, 401))
+    finally:
+        f2.lex_smallest_irreducible.cache_clear()
+    assert hashlib.sha256(text.encode()).hexdigest() == _SEARCH_DIGEST_1_TO_400
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("r, low", [(4002, 0x16B), (4004, 0x419), (8000, 0x1961)])
+def test_search_golden_at_large_degree(r, low):
+    # found by the plain ordered search (8000 is the order of 2 mod 16001)
+    f2.lex_smallest_irreducible.cache_clear()
+    try:
+        assert f2.lex_smallest_irreducible(r) == (1 << r) | low
+    finally:
+        f2.lex_smallest_irreducible.cache_clear()
+
+
+# the irreducibles of degree 2 .. 8, by trial division
+_SMALL_IRREDUCIBLES = [q for q in range(4, 512) if oracles.gf2_is_irreducible(q)]
+
+
+def test_sieve_moduli_are_the_small_irreducibles():
+    assert f2._sieve_moduli() == tuple(_SMALL_IRREDUCIBLES)
+    assert len(_SMALL_IRREDUCIBLES) == 69
+    assert max(map(f2.degree, _SMALL_IRREDUCIBLES)) == f2._SIEVE_DEGREE
+
+
+def _survivors(r: int, stop: int) -> set[int]:
+    """The lows below stop that the sieve lets through at degree r."""
+    out = set()
+    for low in f2._candidate_lows(r):
+        if low >= stop:
+            return out
+        out.add(low)
+    return out
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8, 9, 10, 16, 17, 255, 256, 257, 511, 1018, 1100])
+def test_sieve_strikes_exactly_the_lows_with_a_small_factor(r):
+    # every low below 2**10 (all of them for r <= 10) passes iff it is odd,
+    # has an even number of terms and no q of degree 2 .. min(r - 1, 8)
+    # divides X**r + low, read off the schoolbook remainders of X**r and low
+    x_r = {q: oracles.gf2_divmod(1 << r, q)[1] for q in _SMALL_IRREDUCIBLES if f2.degree(q) < r}
+    stop = 1 << min(r, 10)
+    want = {
+        low
+        for low in range(1, stop, 2)
+        if not bin(low).count("1") & 1
+        and all(oracles.gf2_divmod(low, q)[1] != rem for q, rem in x_r.items())
+    }
+    assert _survivors(r, stop) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(9, 1100), st.integers(0, (1 << 13) - 1))
+def test_sieve_matches_trial_division(r, half):
+    # a random odd low below 2**min(r, 13), against q | X**r + low by the
+    # schoolbook remainder of the whole candidate
+    low = (2 * half + 1) % (1 << r)
+    h = (1 << r) | low
+    divides = any(oracles.gf2_divmod(h, q)[1] == 0 for q in _SMALL_IRREDUCIBLES)
+    want = not divides and oracles.gf2_divmod(h, 3)[1] != 0
+    assert (low in _survivors(r, low + 1)) == want
+
+
+# full-degree t against h = X**r + low, r = 200 .. 1100 (both sides of
+# _FOURTH_POWER_BELOW): a sparse low of degree 2 .. r/2 - 1, whose fold
+# takes at least two rounds, or its reciprocal, whose low part is dense
+@st.composite
+def _kernel_cases(draw):
+    r = draw(st.integers(200, 1100))
+    d = draw(st.integers(2, r // 2 - 1))
+    bits = draw(st.lists(st.integers(0, d - 1), max_size=12))
+    low = (1 << d) | sum(1 << j for j in set(bits)) | 1
+    h = (1 << r) | low
+    if draw(st.booleans()):
+        h = int(bin(h)[:1:-1], 2)
+    t = (1 << (r - 1)) | draw(st.integers(0, (1 << (r - 1)) - 1))
+    return h, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_cases())
+def test_frobenius_steps_match_schoolbook(case):
+    h, t = case
+    r, low = f2.degree(h), h & ((1 << f2.degree(h)) - 1)
+    square, fourth = f2._frobenius(h)
+    if 2 * f2.degree(low) < r:
+        # the spread square's part above X**r, times low, reaches X**r again
+        assert f2.degree(oracles.gf2_mul(int(bin(t)[2:], 4) >> r, low)) >= r
+    for _ in range(3):
+        t2 = oracles.gf2_square_mod(t, h)
+        t4 = oracles.gf2_square_mod(t2, h)
+        assert square(t) == t2
+        assert fourth(t) == t4
+        t = t4 | (1 << (r - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYS.filter(bool), st.integers(1, 9))
+def test_folded_step_matches_full_gcd(h, i):
+    # gcd(X**(2**i) - X, h) = 1 without a gcd at the size of h, for every
+    # nonzero h: even ones (X divides both) and 2**i - 1 past deg h included
+    assert f2._coprime_folded(h, i) == (oracles.gf2_gcd(h, (1 << (1 << i)) ^ 2) == 1)
+
+
+def test_folded_step_at_degrees_1_and_2():
+    for h in range(2, 8):
+        for i in range(1, 4):
+            assert f2._coprime_folded(h, i) == (oracles.gf2_gcd(h, (1 << (1 << i)) ^ 2) == 1)
+
+
 def test_is_irreducible_matches_trial_division_through_degree_11():
     for h in range(1 << 12):
         assert f2.is_irreducible(h) == oracles.gf2_is_irreducible(h), bin(h)
@@ -133,7 +254,7 @@ def test_is_irreducible_matches_oracles_on_products(factors):
 
 def _checkpoints(r: int) -> set[int]:
     """Ben-Or's first steps and Rabin's steps r/q, as ``is_irreducible`` takes them."""
-    ben_or = range(1, min(r // 2, f2._BEN_OR_STEPS) + 1)
+    ben_or = range(1, min(r // 2, r.bit_length() - 1 + f2._BEN_OR_STEPS) + 1)
     primes = [q for q in range(2, r + 1) if r % q == 0 and all(q % d for d in range(2, q))]
     return set(ben_or) | {r // q for q in primes}
 
@@ -153,7 +274,7 @@ def _gcd_steps_and_fixed_point(h: int) -> tuple[set[int], bool]:
 def test_products_of_two_irreducibles_of_equal_degree_rejected():
     # h times its reciprocal (which is h itself for X^2 + X + 1, the only
     # irreducible of degree 2) has no factor below degree k, so the test
-    # rejects it only at step k: Ben-Or's last step for k <= 20, Rabin's
+    # rejects it only at step k: Ben-Or's last step for k <= 12, Rabin's
     # checkpoint r/2 past it.
     for k in range(2, 41):
         h = f2.lex_smallest_irreducible(k)
@@ -166,7 +287,8 @@ def test_products_of_two_irreducibles_of_equal_degree_rejected():
 @pytest.mark.parametrize("k", range(21, 31))
 def test_three_distinct_irreducibles_of_one_degree_rejected_at_r_over_3(k):
     # X**(2**3k) = X modulo the squarefree product, and no Ben-Or step
-    # i <= 20 < k sees a factor: only the checkpoint r/3 = k rejects it.
+    # i <= 14 < k (r = 63 .. 90) sees a factor: only the checkpoint r/3 = k
+    # rejects it.
     a = _irreducible_from(k, 1)
     b = _irreducible_from(k, (a + 1) & ((1 << k) - 1))
     c = _irreducible_from(k, (b + 1) & ((1 << k) - 1))
@@ -178,8 +300,9 @@ def test_three_distinct_irreducibles_of_one_degree_rejected_at_r_over_3(k):
 
 @pytest.mark.parametrize("a, b", [(21, 22), (21, 23), (22, 25), (23, 24), (25, 27), (29, 31)])
 def test_product_of_coprime_degrees_rejected_by_final_comparison(a, b):
-    # every factor's degree is above 20 and divides no r/q, so no gcd step
-    # sees one; only X**(2**r) != X mod h rejects the product
+    # every factor's degree is above 20, past Ben-Or's steps (at most 13
+    # at r <= 60), and divides no r/q, so no gcd step sees one; only
+    # X**(2**r) != X mod h rejects the product
     product = f2.mul(f2.lex_smallest_irreducible(a), f2.lex_smallest_irreducible(b))
     assert _gcd_steps_and_fixed_point(product) == (set(), False)
     assert not f2.is_irreducible(product)
@@ -187,7 +310,7 @@ def test_product_of_coprime_degrees_rejected_by_final_comparison(a, b):
 
 def test_reciprocals_of_table_entries_accepted():
     # the reciprocal of an irreducible is irreducible; its low part is
-    # dense, so every step folds by a long product before ``mod``
+    # dense, so ``mod`` reduces every square
     for r, low in LEX_SMALLEST_LOW.items():
         if r < 2:
             continue
