@@ -1,10 +1,11 @@
 """Polynomials over the two-element field, packed as int bitmasks.
 
 Bit i of the mask is the coefficient of X**i. These are internal helpers:
-arithmetic, gcd and inverses for the LFSR synthesis, and for constructing
+arithmetic, gcd and inverses for the LFSR synthesis; for constructing
 basic irreducible moduli, an irreducibility test (Ben-Or's first steps,
 then Rabin's) and the ordered search for the canonical (lexicographically
-smallest) irreducible of each degree.
+smallest) irreducible of each degree; and powers in the residue field
+GF(2)[X]/(h), from which ``galois.find_gamma`` lifts its unit of order p.
 
 Division, remainders, gcd and inverses all run on one step: cancel the
 leading term of the higher-degree operand by XOR with the other one,
@@ -198,6 +199,22 @@ def _frobenius(h: int) -> tuple[Callable[[int], int], Callable[[int], int]]:
         if r < _FOURTH_POWER_BELOW:
             return square, lambda t: reduce(int(bin(t)[2:], 16))
     return square, lambda t: square(square(t))
+
+
+def powmod(a: int, n: int, h: int) -> int:
+    """a**n mod h for n >= 0 and deg h >= 1, left to right from a on the
+    top bit of n: squares by ``_frobenius(h)``, multiplies by ``mulmod``,
+    which loops over the shorter operand, so a short base costs little."""
+    a = mod(a, h)
+    if n == 0:
+        return 1
+    square, _ = _frobenius(h)
+    t = a
+    for bit in bin(n)[3:]:
+        t = square(t)
+        if bit == "1":
+            t = mulmod(t, a, h)
+    return t
 
 
 def _fold(h: int, n: int) -> int:

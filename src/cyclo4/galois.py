@@ -12,9 +12,9 @@ one element type. :data:`Z4` is that ring; a modulus is a polynomial over
 it, which is why the rings are set up from plain coefficient tuples.
 
 For an odd prime p with r the order of 2 mod p, the unit group (of order
-2**r * (2**r - 1)) contains elements of order p; ``find_gamma`` returns
-such a beta together with gamma = 3*beta, a unit of order 2p satisfying
-gamma**p = 3 = -1.
+2**r * (2**r - 1)) contains elements of order p; ``find_gamma`` lifts one
+from the residue field by one ring squaring and returns it as beta with
+gamma = 3*beta, a unit of order 2p satisfying gamma**p = 3 = -1.
 """
 
 from __future__ import annotations
@@ -92,11 +92,10 @@ class GaloisRing:
         self._wide_mask = 3 * (((1 << (B * (2 * r + 1))) - 1) // ((1 << B) - 1))
         self._split = B * r
         neg_low = [(-c) % 4 for c in modulus[:r]]
-        self._fold = self._pack(neg_low)
         self._fold_pieces = _fold_pieces(neg_low, B)
         self._constants = tuple(GaloisRingElement(self, n) for n in range(4))
         self.zero, self.one = self._constants[0], self._constants[1]
-        self.x = GaloisRingElement(self, self._fold if r == 1 else 1 << B)
+        self.x = GaloisRingElement(self, neg_low[0] if r == 1 else 1 << B)
         self._x_teichmuller = not self._at_x_squared(modulus)
 
     @cached_property
@@ -124,25 +123,6 @@ class GaloisRing:
             t = acc & wide
             high = t >> split
         return t
-
-    def x_power(self, n: int) -> "GaloisRingElement":
-        """X**n for n >= 0, left to right from X on the top bit of n.
-
-        Each step squares; a set bit then multiplies by X, which is a shift
-        by one slot and one fold of the new top coefficient c by
-        X**r = -f_low, c * (-f_low) being a small multiple of one int.
-        """
-        if n == 0:
-            return self.one
-        B, split, low, fold = self._slot_bits, self._split, self._mask, self._fold
-        mul = self._mul_packed
-        t = self.x.packed
-        for bit in bin(n)[3:]:
-            t = mul(t, t)
-            if bit == "1":
-                t <<= B
-                t = ((t & low) + (t >> split) * fold) & low
-        return GaloisRingElement(self, t)
 
     def x_is_teichmuller(self) -> bool:
         """Whether X**(2**r) = X, checked at set-up as f(X**2) = 0 by one
@@ -185,6 +165,12 @@ class GaloisRing:
         slots are reduced as a product is."""
         B2 = 2 * self._slot_bits
         return self._reduce(sum(c << (k * B2) for k, c in enumerate(coeffs)))
+
+    def _lift(self, bits: int) -> "GaloisRingElement":
+        """The element with 0/1 coordinates read from the bits of a residue
+        mod 2 (bit i for X**i): an element over that residue."""
+        coords = ((bits >> i) & 1 for i in range(bits.bit_length()))
+        return GaloisRingElement(self, self._pack(coords))
 
     def element(self, coords) -> "GaloisRingElement":
         coords = [int(c) % 4 for c in coords]
@@ -281,8 +267,7 @@ class GaloisRingElement:
         for i, c in enumerate(self.coords):
             if c % 2:
                 a2 |= 1 << i
-        b2 = f2.inverse_mod(a2, ring._mod2)
-        b1 = ring.element([(b2 >> i) & 1 for i in range(ring.r)])
+        b1 = ring._lift(f2.inverse_mod(a2, ring._mod2))
         b = b1 * (ring.embed(2) - self * b1)
         if self * b != ring.one:
             raise RuntimeError("internal: unit inversion failed")
@@ -412,51 +397,42 @@ def construct_ring(p: int) -> GaloisRing:
 def find_gamma(ring: GaloisRing, p: int) -> tuple[GaloisRingElement, GaloisRingElement]:
     """A unit beta of order exactly p and gamma = 3*beta of order exactly 2p.
 
-    Candidates u = X, X+1, X+2, ... (base-4 coordinate counter, non-units
-    skipped) are raised to the power |unit group| / p; the first result
-    distinct from 1 has order p since p is prime. Determinism of the scan
-    keeps every derived table reproducible.
+    With h = f mod 2, m = (2**r - 1)/p and T the Teichmüller lift of the
+    residue field GF(2)[X]/(h) into the units, beta = T(s**m) for the least
+    s = X, X + 1, X**2, ... (the bitmasks 2, 3, 4, ...) with s**m != 1:
 
-    When X is Teichmüller (X**(2**r) = X, as for every ring
-    :func:`construct_ring` builds), X**((2**r - 1)/p) is the first
-    candidate's power with r fewer squarings, computed by
-    :meth:`GaloisRing.x_power`, whose multiplies by X are slot shifts; it
-    is taken when it has order p, and the scan runs otherwise.
+    - ``f2.powmod`` gives c = s**(m * 2**(r - 1) mod (2**r - 1)) mod h, and
+      c**2 = s**m as s**(2**r - 1) = 1, so c != 1 exactly when s**m != 1,
+      which some s < 2**r meets: at most m < 2**r - 2 residues have s**m = 1.
+    - A unit u is T(u mod 2) * (1 + 2a) with (1 + 2a)**2 = 1 (Wan, Lectures
+      on Finite Fields and Galois Rings, 2003), so the 0/1 lift of c squares
+      to T(c**2) = T(s**m), which has order p as T is injective.
+
+    This is the scan's beta, for every basic irreducible modulus: the first
+    u**(|unit group| / p) != 1 over u = X, X + 1, X + 2, ... in base-4
+    coordinate order. As (1 + 2a)**(2**r) = 1, u**(2**r) = T(u mod 2), so
+    that power is T((u mod 2)**m). The bits of u mod 2 are the parities of
+    u's base-4 digits, and the first counter value with parities s is
+    sum(s_i * 4**i), which increases with s: the scan stops at the same
+    least s. When X is Teichmüller, X**m is the case s = X.
     """
     require_odd_prime(p)
     r = ring.r
-    if ((1 << r) - 1) % p != 0:
+    order = (1 << r) - 1
+    if order % p != 0:
         raise ValueError(f"p={p} does not divide 2**{r} - 1; wrong ring for this p")
-    # (X**m)**p = X**(2**r - 1) with m = (2**r - 1)/p, which is 1 exactly
-    # when X is Teichmüller, and then X**m = X**(2**r * m)
-    beta = ring.x_power(((1 << r) - 1) // p)
-    if beta == ring.one or beta ** p != ring.one:
-        beta = _scan_for_order_p(ring, p)
-        if beta ** p != ring.one:
-            raise RuntimeError("internal: candidate power does not have order p")
+    e = ((order // p) << (r - 1)) % order  # 2**(r - 1) halves exponents mod 2**r - 1
+    s = 2
+    while (c := f2.powmod(s, e, ring._mod2)) == 1:
+        s += 1
+    root = ring._lift(c)
+    beta = root * root
+    if beta ** p != ring.one:
+        raise RuntimeError("internal: beta**p != 1")
     gamma = -beta  # 3 * beta
     if gamma ** p != ring.embed(3):
         raise RuntimeError("internal: gamma**p != -1")
     return beta, gamma
-
-
-def _scan_for_order_p(ring: GaloisRing, p: int) -> GaloisRingElement:
-    """The first power u**(|unit group| / p) distinct from 1 over the units
-    u = X, X+1, X+2, ... in base-4 coordinate order."""
-    exponent = ring.unit_group_order // p
-    k = 4  # coords of X in the base-4 counter
-    while k < 1 << (2 * ring.r):
-        coords = []
-        t = k
-        while t:
-            coords.append(t % 4)
-            t //= 4
-        if any(c % 2 for c in coords):
-            b = ring.element(coords) ** exponent
-            if b != ring.one:
-                return b
-        k += 1
-    raise RuntimeError("internal: no unit of order p found; ring is inconsistent")
 
 
 @lru_cache(maxsize=128)

@@ -203,6 +203,23 @@ def gf2_square_mod(t: int, h: int) -> int:
     return gf2_divmod(int(bin(t)[2:], 4), h)[1]
 
 
+def gf2_pow_mod(a: int, n: int, h: int) -> int:
+    """a**n mod h by square-and-multiply from the top bit of n: squares by
+    bit spreading, products by shifted copies of one factor, each reduced
+    by the schoolbook remainder."""
+    a = gf2_divmod(a, h)[1]
+    t = gf2_divmod(1, h)[1]
+    for bit in bin(n)[2:]:
+        t = gf2_square_mod(t, h)
+        if bit == "1":
+            product = 0
+            for j in range(a.bit_length()):
+                if (a >> j) & 1:
+                    product ^= t << j
+            t = gf2_divmod(product, h)[1]
+    return t
+
+
 def gf2_is_irreducible_ben_or(h: int) -> bool:
     """Irreducibility by Ben-Or's test: gcd(X**(2**i) - X, h) = 1 for
     i = 1 .. deg h // 2, squaring by bit spreading; exact for every degree."""

@@ -196,6 +196,38 @@ def test_frobenius_steps_match_schoolbook(case):
         t = t4 | (1 << (r - 1))
 
 
+# h = X**r + low, r = 1 .. 1100, with a sparse low of degree below r/2
+# or its reciprocal, whose low part is dense; short bases such as
+# find_gamma's, or uniform below 2**r; exponents 0, 1, 2**r - 1 or uniform
+# below 2**r
+@st.composite
+def _powmod_cases(draw):
+    r = draw(st.integers(1, 1100))
+    bits = draw(st.lists(st.integers(0, max(0, r // 2 - 1)), max_size=8))
+    h = (1 << r) | sum(1 << j for j in set(bits)) | 1
+    if draw(st.booleans()):
+        h = int(bin(h)[:1:-1], 2)
+    uniform = st.randoms(use_true_random=False).map(lambda rng: rng.getrandbits(r))
+    a = draw(st.integers(0, 15) | uniform)
+    n = draw(st.sampled_from([0, 1, (1 << r) - 1]) | uniform)
+    return h, a, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(_powmod_cases())
+def test_powmod_matches_schoolbook(case):
+    h, a, n = case
+    assert f2.powmod(a, n, h) == oracles.gf2_pow_mod(a, n, h)
+
+
+@pytest.mark.parametrize("r", [2, 3, 58, 292])
+def test_powmod_of_x_at_the_field_order(r):
+    h = f2.lex_smallest_irreducible(r)
+    order = (1 << r) - 1
+    assert f2.powmod(2, order, h) == 1
+    assert f2.powmod(2, order + 1, h) == 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(_POLYS.filter(bool), st.integers(1, 9))
 def test_folded_step_matches_full_gcd(h, i):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -226,6 +227,25 @@ class TestFindGamma:
 def test_find_gamma_postconditions_full_sweep():
     for p in odd_primes(3, 499):
         check_gamma_postconditions(p)
+
+
+# sha256 of the base-4 digits of beta, "|", then those of gamma, computed
+# as X**((2**r - 1)/p) by ring squarings, before find_gamma worked in the
+# residue field
+_GAMMA_DIGESTS = {
+    1019: "2eaf9f0ab042e39de7b838af3bd880be8ee2e0757df3b5453704b8909f3a47f9",
+    4001: "df95bf3fec75896e97825f1cfc9d365da55ea0e24ee7134a2f758d8a2e88ada3",
+    4003: "8856f7848bc5f4437c23de5b983c5ce6dac0fa05220746ace628564915243706",
+    8011: "182b2186e38f2a5155d1dd9d082f07015648e15ad7fc1e39f4281fbed04cad40",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", sorted(_GAMMA_DIGESTS))
+def test_find_gamma_golden_at_large_p(p):
+    beta, gamma = find_gamma(construct_ring(p), p)
+    text = "".join(map(str, beta.coords)) + "|" + "".join(map(str, gamma.coords))
+    assert hashlib.sha256(text.encode()).hexdigest() == _GAMMA_DIGESTS[p]
 
 
 class TestEvaluation:

@@ -227,6 +227,17 @@ def test_find_gamma_scans_when_x_is_not_teichmuller():
     assert beta**3 == ring.one and beta != ring.one
 
 
+def test_find_gamma_matches_the_scan_in_a_p7_ring_whose_x_is_not_teichmuller():
+    # X**3 + 2X**2 + X + 1 reduces to X**3 + X + 1 mod 2, whose Graeffe lift
+    # is X**3 + 2X**2 + X + 3, so X**7 != 1 and X**((2**3 - 1)/7) = X is
+    # not of order 7
+    ring = GaloisRing(RingPolynomial.from_ints(Z4, [1, 1, 2, 1]))
+    assert not ring.x_is_teichmuller() and ring.x**7 != ring.one
+    beta, _ = find_gamma(ring, 7)
+    assert beta == oracles.scan_beta(ring, 7) != ring.x
+    assert beta**7 == ring.one and beta != ring.one
+
+
 def _expansion_verdicts(ws):
     """(status, detail) of factorization and lemma9 from the expanded class
     products, with the library's texts."""

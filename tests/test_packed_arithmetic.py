@@ -209,7 +209,8 @@ FOLD_RINGS = [
 def test_fold_pieces_add_up_to_the_fold(ring, count):
     pieces = ring._fold_pieces
     assert len(pieces) == count
-    assert sum(run << shift for shift, run in pieces) == ring._fold
+    neg_low = ring._pack([(-c) % 4 for c in _modulus(ring)[:-1]])
+    assert sum(run << shift for shift, run in pieces) == neg_low
     assert all(run & ((1 << ring._slot_bits) - 1) for _, run in pieces)
 
 
@@ -225,22 +226,12 @@ def test_sparse_fold_product_matches_schoolbook(args):
     assert got == oracles.gr_mul(_modulus(ring), a.coords, b.coords)
 
 
-X_POWER_RINGS = [ring for ring in RINGS if ring.r <= 40] + [
-    GaloisRing(RingPolynomial.from_ints(Z4, [1, 3, 1])),  # X is not Teichmüller
-    _reciprocal_lift_ring(28),
-]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(X_POWER_RINGS), st.integers(0, 1 << 20))
-def test_x_power_matches_schoolbook(ring, n):
-    assert ring.x_power(n).coords == oracles.gr_pow(_modulus(ring), ring.x.coords, n)
-
-
 @pytest.mark.parametrize("p", [3, 7, 11, 31, 43, 59, 131])
-def test_x_power_gives_the_scanned_beta(p):
+def test_beta_is_x_to_the_m_where_that_has_order_p(p):
+    # X is Teichmüller in a canonical ring, and X**m != 1 at these p, so
+    # find_gamma's least residue s is X itself
     ring = construct_ring(p)
-    assert ring.x_power(((1 << ring.r) - 1) // p) == oracles.scan_beta(ring, p)
+    assert find_gamma(ring, p)[0] == ring.x ** (((1 << ring.r) - 1) // p) != ring.one
 
 
 @pytest.mark.parametrize("p", [3, 7, 31, 59])
@@ -292,14 +283,15 @@ def test_ring_setup_makes_a_bounded_number_of_products(products):
         ring = construct_ring(719)
         assert len(products) == 0  # the Teichmüller check is one reduction
         find_gamma(ring, 719)
-        # about r squarings for X**((2**r - 1)/p), then a few powers by p
-        assert len(products) <= ring.r + 40
+        # one squaring of the lifted residue, then the powers beta**p and
+        # gamma**p, each 9 squarings and 6 multiplies (719 = 0b1011001111)
+        assert len(products) <= 1 + 2 * 15
         products.clear()
         ws = _Workspace(293)
         ws.normalized  # the fields are lazy: gamma and its class sums, read here
-        # the ring's r - 9 squarings, two powers by p of 11 products each,
-        # and p - 2 for the chain of the class sums
-        assert len(products) <= (ws.ring.r - 9) + 22 + (293 - 2)
+        # one squaring, two powers by p of 11 products each (293 =
+        # 0b100100101), and p - 2 for the chain of the class sums
+        assert len(products) <= 1 + 22 + (293 - 2)
     finally:
         construct_ring.cache_clear()
         powers_of.cache_clear()
@@ -307,10 +299,10 @@ def test_ring_setup_makes_a_bounded_number_of_products(products):
 
 def test_full_report_makes_a_bounded_number_of_products(products):
     full_report(293)
-    # the workspace's 596, beta**p in check_gamma, the one power gamma**p
+    # the workspace's 314, beta**p in check_gamma, the one power gamma**p
     # that check_gamma and the roots check share, three for the quadratics
     # of lemma6 and lemma7, and the roots check's squares of 1 and gamma**p
-    assert len(products) <= 623
+    assert len(products) <= 341
 
 
 @pytest.mark.parametrize("p", [17, 23, 31, 59, 61])
