@@ -8,9 +8,10 @@ order-2p units, the factorizations of X**p + 1 and X**p - 1 into class
 products, and the guard example showing that vanishing at every power of
 gamma does not imply divisibility by X**2p - 1 over Z4. No table of the
 powers of gamma is kept: the values read are Z4 combinations of four
-class sums, and the class products are never expanded. Their statements
-are proved from premises on the classes, gamma**p and one Frobenius step,
-each checked exactly.
+class sums, Gauss periods read as one trace per coset of <2> or <4> mod p
+from the power sums of the modulus, and the class products are never
+expanded. Their statements are proved from premises on the classes,
+gamma**p and one Frobenius step, each checked exactly.
 
 A report is a list of uniform check entries so the command-line front end
 can render one line per check and reflect failures in its exit status.
@@ -22,6 +23,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from .cyclotomy import GeneralizedCyclotomy, build_classes
 from .galois import GaloisRing, GaloisRingElement, construct_ring, find_gamma
@@ -94,25 +96,58 @@ def normalize_gamma(
     """Replace gamma by gamma**v, v in D1, if needed to make S0 a unit.
 
     The two class sums add to 1, so they cannot both be non-units; the
-    substitution is therefore always available and deterministic. As
+    substitution is therefore always available and deterministic. v is a
+    unit mod 2p, so u -> v*u maps a class C one to one onto v*C, and the
+    sums of gamma**v are those of gamma over the classes v*C.
+
+    The raw sums (``_class_sums``) are Gauss periods, one trace per orbit
+    of the Frobenius sigma, so no power table is built. They rest on
     gamma**p = -1 (``find_gamma`` makes it so and ``check_gamma`` checks
-    it), one chain of p - 2 products gives the sums: gamma**k, k < p, is
-    added to the sum of the class of k and subtracted from that of k + p.
-    v is a unit mod 2p, so u -> v*u maps a class C one to one onto v*C,
-    and the sums of gamma**v are those of gamma over the classes v*C.
+    it) and on the premises checked here:
+
+    - Traces. Tr(x), the sum of sigma**k(x) over k < r, is Z4-linear, so
+      Tr(x) = sum x_i P_i for x = sum x_i X**i, with P_i = Tr(X**i). The
+      sigma**k(X) are roots of f that are distinct mod 2 (X mod 2 generates
+      the residue field), so they differ by units and f is the product of
+      Y - sigma**k(X); P_i is the i-th power sum of its roots. Newton's
+      identities hold over any commutative ring: for f = sum c_k X**k,
+      P_0 = r and P_i = -(i c_(r-i) + sum over 0 < j < i of c_(r-j) P_(i-j)),
+      with no division, over the few j with c_(r-j) != 0.
+    - Orbits. beta = -gamma has beta**p = 1 and p divides 2**r - 1, so beta
+      is Teichmüller and sigma(beta) = beta**2 (Wan, Lectures on Finite
+      Fields and Galois Rings, 2003). gamma**u = (-1)**u beta**(u mod p),
+      and p + 2 keeps the parity of u and doubles u mod p, so
+      sigma**k(gamma**u) = gamma**((p + 2)**k u mod 2p), where
+      (p + 2)**2 = p + 4 (mod 2p). Let q = 2 for p = +-1 (mod 8) and q = 4
+      otherwise. Each class is checked to be a union of orbits of
+      u -> (p + q) u mod 2p of 2r/q elements each, so the orbit of u sums
+      to the sum of sigma**(kq/2)(gamma**u) over k < 2r/q. For q = 2 that
+      is Tr(gamma**u) = (-1)**u Tr(beta**a), a = u mod p.
+    - Down to Z4[omega]. For q = 4 (2 is then a non-residue mod p, so r is
+      even) it is (-1)**u T(beta**a), with T the sum of sigma**(2k) over
+      k < r/2: the trace down to the ring fixed by sigma**2, GR(4**2, 4) =
+      Z4 + Z4 omega. omega = ``find_gamma(ring, 3)[0]`` is checked to be a
+      root of Y**2 + Y + 1, so it is Teichmüller of order 3 and
+      sigma(omega) = omega**2 = -1 - omega. T is linear over that ring and
+      Tr = T + sigma(T), whose values at 1, omega and omega**2 are 2, -1
+      and -1. For T(x) = c0 + c1 omega, t1 = Tr(x) is 2 c0 - c1 and
+      t2 = Tr(omega x) is -c0 - c1, so c0 = 3 (t1 - t2) and c1 = -c0 - t2.
+
+    Tr is invariant under sigma and T under sigma**2, so both depend only
+    on the coset of a under <q> in the units mod p: one trace (two for
+    q = 4) per coset, read by the orbits of both parities over it.
     """
-    p, blocks = classes.p, classes.blocks
-    class_name = {u: name for name, block in blocks.items() for u in block}
-    sums = dict.fromkeys(blocks, ring.zero)
-    t = gamma
-    for k in range(1, p):
-        t = t * gamma if k > 1 else t
-        sums[class_name[k]] += t
-        sums[class_name[k + p]] -= t
+    omega = None
+    if classes.p % 8 in (3, 5):
+        omega = find_gamma(ring, 3)[0]
+        if omega * omega + omega + ring.one != ring.zero:
+            raise RuntimeError("internal: omega is not a root of Y^2 + Y + 1")
+    sums = _class_sums(ring, classes, gamma, omega)
     if sums["D0"] + sums["D1"] != ring.one:
         raise RuntimeError("internal: class sums over D0 and D1 do not add to 1")
     if sums["D0"].is_unit():
         return NormalizedGamma(gamma=gamma, exponent=1, sums=sums)
+    p, blocks = classes.p, classes.blocks
     v = min(classes.d1)
     name_of = {block: name for name, block in blocks.items()}
     moved = {}
@@ -124,6 +159,76 @@ def normalize_gamma(
     if not moved["D0"].is_unit():
         raise RuntimeError("internal: neither class sum is a unit")
     return NormalizedGamma(gamma=gamma**v, exponent=v, sums=moved)
+
+
+def _power_sums(ring: GaloisRing) -> list[int]:
+    """P_i = Tr(X**i) in 0..3 for i < r, by Newton's identities on the
+    nonzero coefficients of the modulus (``normalize_gamma``)."""
+    r = ring.r
+    f = [c.value for c in ring.modulus.coeffs]
+    terms = [(j, f[r - j]) for j in range(1, r) if f[r - j]]
+    sums = [r % 4]
+    for i in range(1, r):
+        acc = i * f[r - i]
+        for j, c in terms:
+            if j >= i:
+                break
+            acc += c * sums[i - j]
+        sums.append(-acc % 4)
+    return sums
+
+
+def _class_sums(
+    ring: GaloisRing,
+    classes: GeneralizedCyclotomy,
+    gamma: GaloisRingElement,
+    omega: GaloisRingElement | None,
+) -> dict:
+    """The sums of gamma**u over D0, D1, E0 and E1 from one trace per coset
+    of <q> mod p: q = 2 where omega is None, else q = 4 and the traces go
+    down to Z4[omega]. ``normalize_gamma`` has the proof and checks omega."""
+    p, r = classes.p, ring.r
+    n = 2 * p
+    m, size = (p + 2, r) if omega is None else (p + 4, r // 2)
+    orbits = {}  # class name -> ((-1)**u, least residue mod p) per orbit
+    for name, block in classes.blocks.items():
+        left = set(block)
+        reps = orbits[name] = []
+        for u in sorted(block):
+            if u not in left:
+                continue
+            orbit, w = [u], m * u % n
+            while w != u:
+                orbit.append(w)
+                w = m * w % n
+            if len(orbit) != size or not left.issuperset(orbit):
+                raise RuntimeError(f"internal: {name} is not a union of orbits of u -> {m}u")
+            left.difference_update(orbit)
+            reps.append((-1 if u % 2 else 1, min(w % p for w in orbit)))
+    power_sums = _power_sums(ring)
+
+    def trace(x):
+        return sum(map(mul, x.coords, power_sums)) % 4
+
+    beta = -gamma
+    traces, steps, x, at = {}, {}, None, 0
+    for a in sorted({a for reps in orbits.values() for _, a in reps}):
+        if a - at not in steps:
+            steps[a - at] = beta ** (a - at)
+        x = steps[a - at] if x is None else x * steps[a - at]
+        at, t1 = a, trace(x)
+        if omega is None:
+            traces[a] = (t1, 0)
+        else:
+            t2 = trace(omega * x)
+            c0 = 3 * (t1 - t2)
+            traces[a] = (c0, -c0 - t2)
+    sums = {}
+    for name, reps in orbits.items():
+        c0 = sum(sign * traces[a][0] for sign, a in reps) % 4
+        c1 = sum(sign * traces[a][1] for sign, a in reps) % 4
+        sums[name] = sum((omega,) * c1, ring.embed(c0))
+    return sums
 
 
 class _Workspace:
@@ -152,15 +257,21 @@ def check_gamma(ws: _Workspace) -> CheckResult:
     gives y = -gamma with y**p = 1, so y is Teichmüller (a unit is xi*(1+2a)
     and (1+2a)**p = 1+2a) of order 1 or p, and mod 2 gamma**d - 1 is
     y**d + 1, nonzero for every such d or for none. gamma**2p = 1 needs
-    no product of its own: it follows from gamma**p = -1.
+    no product of its own: it follows from gamma**p = -1. Where the raw
+    gamma is exactly -beta, beta**p is read as -(raw gamma)**p, as p is
+    odd, so that an unreplaced gamma costs this check no product.
     """
     problems = []
     ring, p = ws.ring, ws.p
-    if ws.beta**p != ring.one or ws.beta == ring.one:
-        problems.append("beta does not have order p")
     raw_gamma_p = ws.gamma_p if ws.raw_gamma is ws.gamma else ws.raw_gamma**p
+    opposite = ws.raw_gamma == -ws.beta
+    beta_p = -raw_gamma_p if opposite else ws.beta**p
+    if beta_p != ring.one or ws.beta == ring.one:
+        problems.append("beta does not have order p")
     if raw_gamma_p != ring.embed(3):
         problems.append("gamma**p != -1")
+    if not opposite:
+        problems.append("gamma != -beta")
     if not ws.normalized.s0.is_unit():
         problems.append("normalized class sum is not a unit")
     if not (ws.gamma - ring.one).is_unit():  # where the pairwise scan first fails
@@ -407,13 +518,14 @@ def check_factorizations(ws: _Workspace) -> list[CheckResult]:
 
     Both checks are skipped for p above DEFAULT_EXPANSION_CAP.
     """
-    ring, p, classes, gamma = ws.ring, ws.p, ws.classes, ws.gamma
+    p = ws.p
     if p > DEFAULT_EXPANSION_CAP:
         note = f"skipped: p > expansion cap {DEFAULT_EXPANSION_CAP}"
         return [
             CheckResult("factorization", CheckStatus.SKIP, note),
             CheckResult("lemma9", CheckStatus.SKIP, note),
         ]
+    ring, classes, gamma = ws.ring, ws.classes, ws.gamma
     n = 2 * p
     gamma_p = ws.gamma_p
 

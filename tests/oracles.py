@@ -21,7 +21,8 @@ what they do with it: dense Horner evaluates a polynomial with one ring
 product per coefficient; the scan for an element of order p powers every
 unit candidate in turn, without assuming X is Teichmüller; the
 Teichmüller test squares X r times; the power table is a plain chain of
-products, one per entry; Lemmas 3 and 4/8 are checked by brute force,
+products, one per entry, and so are the four class sums, with no trace;
+Lemmas 3 and 4/8 are checked by brute force,
 O(p**2), from every product set of the classes and from S(gamma**v),
 summed over the power table of gamma for any period and any v, compared
 with its table entry for every v; and the class products behind the
@@ -389,6 +390,22 @@ def power_chain(x, count: int) -> list:
     for _ in range(count - 1):
         out.append(out[-1] * x)
     return out
+
+
+def class_sums_by_chain(ring, classes, gamma) -> dict:
+    """The sums of gamma**u over D0, D1, E0 and E1 from one chain gamma,
+    gamma**2, ..., gamma**(p-1) of p - 2 products: gamma**k is added to the
+    sum of the class of k and subtracted from that of k + p, as
+    gamma**(k+p) = -gamma**k once gamma**p = -1."""
+    p, blocks = classes.p, classes.blocks
+    class_name = {u: name for name, block in blocks.items() for u in block}
+    sums = dict.fromkeys(blocks, ring.zero)
+    t = gamma
+    for k in range(1, p):
+        t = t * gamma if k > 1 else t
+        sums[class_name[k]] += t
+        sums[class_name[k + p]] -= t
+    return sums
 
 
 def scan_beta(ring, p: int):

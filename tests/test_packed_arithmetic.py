@@ -289,9 +289,11 @@ def test_ring_setup_makes_a_bounded_number_of_products(products):
         products.clear()
         ws = _Workspace(293)
         ws.normalized  # the fields are lazy: gamma and its class sums, read here
-        # one squaring, two powers by p of 11 products each (293 =
-        # 0b100100101), and p - 2 for the chain of the class sums
-        assert len(products) <= 1 + 22 + (293 - 2)
+        # one squaring and two powers by p of 11 products each (293 =
+        # 0b100100101); then for the class sums find_gamma(ring, 3)'s five
+        # (one squaring, two cubes), omega**2, beta**2 from beta for the
+        # second of the two cosets of <4>, and omega * beta**a for each
+        assert len(products) <= 1 + 22 + 5 + 1 + 1 + 2
     finally:
         construct_ring.cache_clear()
         powers_of.cache_clear()
@@ -299,10 +301,22 @@ def test_ring_setup_makes_a_bounded_number_of_products(products):
 
 def test_full_report_makes_a_bounded_number_of_products(products):
     full_report(293)
-    # the workspace's 314, beta**p in check_gamma, the one power gamma**p
-    # that check_gamma and the roots check share, three for the quadratics
-    # of lemma6 and lemma7, and the roots check's squares of 1 and gamma**p
-    assert len(products) <= 341
+    # the workspace's 32, the one power gamma**p that check_gamma and the
+    # roots check share, three for the quadratics of lemma6 and lemma7, and
+    # the roots check's squares of 1 and gamma**p
+    assert len(products) <= 32 + 11 + 3 + 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 11, 31, 293])
+def test_check_gamma_makes_no_product_of_its_own(p, products):
+    # gamma is not replaced at these p, so check_gamma reads beta**p as
+    # -(gamma**p), the power the roots check shares
+    ws = _Workspace(p)
+    assert not ws.normalized.replaced
+    ws.gamma_p
+    products.clear()
+    assert check_gamma(ws).status is CheckStatus.PASS
+    assert not products
 
 
 @pytest.mark.parametrize("p", [17, 23, 31, 59, 61])

@@ -1,11 +1,19 @@
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
 import oracles
-from cyclo4 import verify
+from cyclo4 import f2, verify
 from cyclo4.cyclotomy import build_classes
-from cyclo4.galois import Z4, construct_ring, find_gamma, powers_of
+from cyclo4.galois import (
+    Z4,
+    GaloisRing,
+    construct_ring,
+    find_gamma,
+    lift_irreducible,
+    powers_of,
+)
 from cyclo4.lfsr import theorem_lc
 from cyclo4.primes import odd_primes
 from cyclo4.ringpoly import NonUnitDivisorError, RingPolynomial
@@ -13,6 +21,7 @@ from cyclo4.verify import (
     DEFAULT_EXPANSION_CAP,
     CheckStatus,
     check_factorizations,
+    check_gamma,
     check_lemma3,
     check_lemma5,
     check_roots_guard,
@@ -68,7 +77,153 @@ class TestNormalization:
         assert not ng.replaced and ng.gamma == gamma
 
 
+def _omega(ring, p):
+    """What normalize_gamma takes for omega: None for p = +-1 (mod 8), else
+    find_gamma's root of Y**2 + Y + 1."""
+    return None if p % 8 in (1, 7) else find_gamma(ring, 3)[0]
+
+
+def _traced_and_chained(p, classes=None):
+    """The raw class sums of p by traces and by the oracle's chain of
+    products, over the true classes or the given ones."""
+    ws = _Workspace(p)
+    classes = classes or ws.classes
+    traced = verify._class_sums(ws.ring, classes, ws.raw_gamma, _omega(ws.ring, p))
+    return traced, oracles.class_sums_by_chain(ws.ring, classes, ws.raw_gamma)
+
+
+def _assert_traces_agree_with_the_chain(primes):
+    routes, replaced = set(), False
+    for p in primes:
+        traced, chained = _traced_and_chained(p)
+        assert traced == chained, p
+        routes.add(p % 8 in (1, 7))
+        replaced = replaced or _Workspace(p).normalized.replaced
+    # both trace routes, down to Z4 and to Z4[omega], and a replaced gamma
+    assert routes == {True, False} and replaced
+
+
+class TestClassSumsAsTraces:
+    def test_agree_with_the_chain_for_every_prime_to_293(self):
+        _assert_traces_agree_with_the_chain(odd_primes(3, 293))
+
+    @pytest.mark.slow
+    def test_agree_with_the_chain_for_every_prime_from_294_to_1100(self):
+        _assert_traces_agree_with_the_chain(odd_primes(294, 1100))
+
+    @pytest.mark.parametrize("p", (5, 11, 13, 19, 29, 43))
+    def test_omega_is_a_root_of_y2_y_1(self, p):
+        self._assert_omega_is_a_root(p)
+        # X mod 2 has order prime to 3 at 29 and 43 (not at 13 or 19, where
+        # its order is prime to p), so find_gamma goes past X for omega
+        ring = construct_ring(p)
+        past_x = f2.powmod(0b10, ((1 << ring.r) - 1) // 3, ring._mod2) == 1
+        assert past_x is (p in (29, 43))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("p", (4003, 8011))
+    def test_omega_is_a_root_of_y2_y_1_at_large_r(self, p):
+        # p = 3 (mod 8) both; find_gamma goes past X at 8011 (r = 2670)
+        self._assert_omega_is_a_root(p)
+
+    @staticmethod
+    def _assert_omega_is_a_root(p):
+        ring = construct_ring(p)
+        omega = find_gamma(ring, 3)[0]
+        assert omega * omega + omega + ring.one == ring.zero
+        assert (omega - ring.one).is_unit()
+
+    @pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 23, 29, 31, 41, 43))
+    @pytest.mark.parametrize("i", (0, 1))
+    def test_a_wrong_power_sum_changes_the_sums(self, p, i, monkeypatch):
+        real = verify._power_sums
+
+        def bumped(ring):
+            sums = real(ring)
+            sums[i] = (sums[i] + 1) % 4
+            return sums
+
+        monkeypatch.setattr(verify, "_power_sums", bumped)
+        traced, chained = _traced_and_chained(p)
+        assert traced != chained
+
+    @pytest.mark.parametrize("p", (3, 5, 11, 13, 19, 29, 43))
+    def test_omega_one_fails_the_sums_and_the_premise(self, p, monkeypatch):
+        # with omega = 1 each coset's (c0, c1) reads (0, -t1), so D0 + D1,
+        # minus the sum of t1 = 2 c0 - c1 over the cosets, is -2, not 1
+        ws = _Workspace(p)
+        ring = ws.ring
+        got = verify._class_sums(ring, ws.classes, ws.raw_gamma, ring.one)
+        assert got["D0"] + got["D1"] == ring.embed(2)
+        real = verify._class_sums
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_class_sums", lambda *args: real(*args[:3], ring.one))
+            with pytest.raises(RuntimeError, match="D0 and D1 do not add to 1"):
+                normalize_gamma(ring, ws.classes, ws.raw_gamma)
+        monkeypatch.setattr(verify, "find_gamma", lambda ring, p: (ring.one, -ring.one))
+        with pytest.raises(RuntimeError, match="omega is not a root of Y"):
+            normalize_gamma(ring, ws.classes, ws.raw_gamma)
+
+    @pytest.mark.parametrize("p", (7, 11, 13, 17, 23, 29, 31, 41, 43, 73))
+    def test_a_swapped_coset_moves_its_trace(self, p):
+        # the odd lifts of one coset of <q> in D0 and one in D1 trade
+        # classes: both are still unions of orbits, so the traces follow
+        # the new classes, and the sums change
+        c = build_classes(p)
+        q = 2 if p % 8 in (1, 7) else 4
+
+        def odd_lifts(a):
+            coset = {a * pow(q, k, p) % p for k in range(p - 1)}
+            return frozenset(w if w % 2 else w + p for w in coset)
+
+        moved = odd_lifts(min(c.d0)) | odd_lifts(min(c.d1))
+        swapped = dataclasses.replace(c, d0=c.d0 ^ moved, d1=c.d1 ^ moved)
+        traced, chained = _traced_and_chained(p, swapped)
+        assert traced == chained
+        assert traced != _traced_and_chained(p)[0]
+
+    def test_orbits_shorter_than_the_ring_degree_are_refused(self):
+        # GR(4**6, 4) holds units of order 7, but sigma has order 6 and the
+        # orbits of u -> 9u mod 14 have 3 elements: each trace would count
+        # its orbit twice
+        ring = GaloisRing(lift_irreducible(f2.lex_smallest_irreducible(6)))
+        _, gamma = find_gamma(ring, 7)
+        with pytest.raises(RuntimeError, match="D0 is not a union of orbits"):
+            normalize_gamma(ring, build_classes(7), gamma)
+
+    @pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 29))
+    def test_a_class_that_is_not_a_union_of_orbits_is_refused(self, p):
+        ws = _Workspace(p)
+        c = ws.classes
+        a, b = max(c.d0), max(c.d1)
+        bad = dataclasses.replace(c, d0=c.d0 - {a} | {b}, d1=c.d1 - {b} | {a})
+        with pytest.raises(RuntimeError, match="D0 is not a union of orbits"):
+            normalize_gamma(ws.ring, bad, ws.raw_gamma)
+
+
 class TestIndividualChecks:
+    @pytest.mark.parametrize("p", (3, 5, 7, 17, 31))
+    def test_check_gamma_names_the_broken_postcondition(self, p, workspaces):
+        ws = workspaces[p]
+        ring, beta = ws.ring, ws.beta
+        off = beta * (ring.one + ring.x + ring.x)  # (1 + 2X)**p = 1 + 2X
+        cases = [
+            # find_gamma giving 1 and -1, or beta (1 + 2X) and its negative
+            ((ring.one, -ring.one), "beta does not have order p"),
+            ((off, -off), "beta does not have order p"),
+            # gamma = beta has gamma**p = 1
+            ((beta, beta), "gamma**p != -1"),
+            # -beta**2 has order 2p as well, but it is not -beta
+            ((beta, -(beta * beta)), "gamma != -beta"),
+        ]
+        for (b, g), detail in cases:
+            mutant = SimpleNamespace(
+                ring=ring, p=p, beta=b, raw_gamma=g, gamma=g, gamma_p=g**p,
+                normalized=ws.normalized,
+            )
+            got = check_gamma(mutant)
+            assert (got.status, got.detail) == (CheckStatus.FAIL, detail)
+
     @pytest.mark.parametrize("p", SAMPLE_PRIMES)
     def test_class_relations(self, p, workspaces):
         assert check_lemma3(workspaces[p].classes).status is CheckStatus.PASS
@@ -258,7 +413,7 @@ class TestFullReport:
     @pytest.mark.parametrize("p", (7, 4003))
     def test_checks_that_read_no_ring_build_none(self, p, only, monkeypatch):
         # p = 4003 (r = 4002): the ring, gamma and its class sums take
-        # seconds there, the classes and the synthesis milliseconds
+        # about 0.3 s there, the classes and the synthesis milliseconds
         def refuse(*args):
             raise AssertionError("the ring or gamma was built")
 
@@ -279,6 +434,22 @@ class TestFullReport:
         monkeypatch.setattr(verify, "construct_ring", counting)
         assert full_report(17, only={"lemma6"}).ok
         assert built == [17]
+
+    @pytest.mark.parametrize("only", [{"lemma9"}, {"factorization"}])
+    @pytest.mark.parametrize("p", (67, 8011))
+    def test_skipped_expansion_checks_build_no_ring(self, p, only, monkeypatch):
+        built = []
+        real = verify.construct_ring
+
+        def counting(p):
+            built.append(p)
+            return real(p)
+
+        monkeypatch.setattr(verify, "construct_ring", counting)
+        report = full_report(p, only=only)
+        assert built == []
+        [name] = only
+        assert report.render() == f"{name} SKIP skipped: p > expansion cap 61"
 
     def test_filtered_report_still_rejects_a_composite(self):
         with pytest.raises(ValueError, match="odd prime"):
