@@ -12,19 +12,16 @@ leading term of the higher-degree operand by XOR with the other one,
 shifted. Each loop carries the running degree, reads ``bit_length`` once
 per step and calls no other function per step.
 
-The ordered search spends its time on the candidates with no small
-factor: each costs r squarings mod h and a gcd at degree r per full-size
-test step. So it first sieves out every candidate with a factor of degree
-2 .. 8 by its residues, as Brent and Zimmermann's trinomial searches do
-("Algorithms for finding almost irreducible and almost primitive
-trinomials", 2003). The test takes its small Ben-Or steps on h folded
-mod X**(2**i - 1) - 1, with no gcd at degree r, and squares by a table
-spread and shifts at the few set bits of h's low part.
+The ordered search tries X**r + l for the odd l in increasing order. Most
+candidates have a small factor, which the test looks for first: X + 1,
+then its small Ben-Or steps on h folded mod X**(2**i - 1) - 1, with no
+gcd at degree r. Its other steps square by a table spread and shifts at
+the few set bits of h's low part.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from functools import lru_cache
 
 from .primes import factorize
@@ -35,12 +32,9 @@ from .primes import factorize
 # its r squarings. Over 4 .. 12, the searches at r = 244 .. 375 were
 # fastest at 7 or 8, the one at r = 1018 at 10 .. 12 (about 10% faster
 # than at 8); at r = 8000, 20 .. 40 steps in all were alike within the
-# noise (sweep in BENCH_irreducible_search.json).
+# noise (sweep in BENCH_irreducible_search.json, taken while a sieve still
+# struck the candidates with a factor of degree 2 .. 8 before the test).
 _BEN_OR_STEPS = 8
-
-# The ordered search sieves out candidates with an irreducible factor of
-# degree 2 .. _SIEVE_DEGREE.
-_SIEVE_DEGREE = 8
 
 # Below this degree a fourth power by base-16 digits and folds costs less
 # than two squarings (r = 246: 0.8x, 700: 1.0x, 1018: 1.1x, 4002: 1.7x).
@@ -256,8 +250,11 @@ def is_irreducible(h: int) -> bool:
     with every irreducible factor of degree dividing r. A proper factor's
     degree then divides some r/q, so the test is exact for every h.
 
-    A step with 2**i <= r runs first, on h folded mod X**(2**i - 1) - 1
-    (see ``_coprime_folded``). Each other step takes gcd(t - X, h) on
+    The steps run in order of cost, so that a small factor is found before
+    the rest of the plan is built. For r >= 2, step 1 is the test for the
+    factors X (h even) and X + 1 (an even number of terms). The steps with
+    2**i <= r follow, on h folded mod X**(2**i - 1) - 1 (see
+    ``_coprime_folded``). Each other step takes gcd(t - X, h) on
     t = X**(2**i) mod h, which ``_frobenius`` produces, by fourth powers
     between two steps where it can. For a dense low part (a reciprocal,
     or a modulus handed to ``GaloisRing``) ``mod`` reduces the squares:
@@ -266,13 +263,15 @@ def is_irreducible(h: int) -> bool:
     one (2-vCPU VM). Folding its dense low part by shifts, or once by a
     long product before ``mod``, costs about 3x more per square."""
     r = degree(h)
-    if r < 1:
+    if r < 2:
+        return r == 1
+    if not h & 1 or not h.bit_count() & 1:
         return False
-    steps = set(range(1, min(r // 2, r.bit_length() - 1 + _BEN_OR_STEPS) + 1))
-    steps.update(r // q for q in factorize(r))
-    full = {i for i in steps if 1 << i > r}
-    if not all(_coprime_folded(h, i) for i in sorted(steps - full)):
+    log = r.bit_length() - 1
+    if not all(_coprime_folded(h, i) for i in range(2, min(r // 2, log) + 1)):
         return False
+    full = set(range(log + 1, min(r // 2, log + _BEN_OR_STEPS) + 1))
+    full.update(r // q for q in factorize(r) if r // q > log)
     square, fourth = _frobenius(h)
     x = t = mod(2, h)
     i = 0
@@ -287,77 +286,19 @@ def is_irreducible(h: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sieve_moduli() -> tuple[int, ...]:
-    """The irreducibles of degree 2 .. _SIEVE_DEGREE, in increasing order,
-    by trial division by the smaller ones."""
-    found = [2, 3]
-    for q in range(4, 2 << _SIEVE_DEGREE):
-        if all(mod(q, g) for g in found if 2 * degree(g) <= degree(q)):
-            found.append(q)
-    return tuple(found[2:])
-
-
-@lru_cache(maxsize=None)
-def _x_powers(q: int) -> tuple[int, ...]:
-    """X**e mod an irreducible q of degree d >= 2 for e < 2**d - 1: a
-    period of the powers of X, as X has order dividing 2**d - 1 mod q."""
-    top = 1 << degree(q)
-    out = [1]
-    for _ in range(top - 2):
-        e = out[-1] << 1
-        out.append(e ^ q if e & top else e)
-    return tuple(out)
-
-
-def _multiples(q: int, k: int) -> list[int]:
-    """The multiples of q of degree below k >= deg q."""
-    out = [0]
-    for j in range(k - degree(q)):
-        out += [m ^ (q << j) for m in out]
-    return out
-
-
-def _candidate_lows(r: int) -> Iterator[int]:
-    """The low parts l, increasing, of the candidates X**r + l, r >= 2,
-    that no factor of degree at most min(r - 1, _SIEVE_DEGREE) divides.
-
-    l runs over blocks [2**k, 2**(k + 1)), the first one [0, 2**k). l must
-    be odd (X divides otherwise) and have an even number of terms (X + 1
-    divides otherwise). A sieve modulus q divides X**r + l iff
-    l = X**r mod q. In the block 2**k + j, j < 2**k, that is
-    j = X**r + X**k mod q plus a multiple of q of degree below k: those j
-    are struck."""
-    moduli = [(q, _x_powers(q)) for q in _sieve_moduli() if degree(q) < r]
-    base, k = 0, min(r, _SIEVE_DEGREE)
-    while base < 1 << r:
-        struck = set()
-        for q, powers in moduli:
-            n = len(powers)
-            target = powers[r % n] ^ (powers[k % n] if base else 0)
-            struck.update(map(target.__xor__, _multiples(q, k)))
-        for j in range(1, 1 << k, 2):
-            low = base | j
-            if j not in struck and not bin(low).count("1") & 1:
-                yield low
-        if base:
-            k += 1
-        base = 1 << k
-
-
-@lru_cache(maxsize=None)
 def lex_smallest_irreducible(r: int) -> int:
     """The irreducible of degree r whose coefficients, read high to low
     as a binary number, are smallest.
 
-    The ordered search tries X**r + l for increasing l. It skips the
-    candidates that a sieve proves reducible (see ``_candidate_lows``) and
-    returns the first one that passes ``is_irreducible``, so the result
-    has passed exactly one irreducibility test in this call."""
+    The ordered search tries X**r + l for the odd l in increasing order
+    (X divides the others, for r >= 2) and returns the first one that
+    passes ``is_irreducible``, so the result has passed exactly one
+    irreducibility test in this call."""
     if r < 1:
         raise ValueError("degree must be positive")
     if r == 1:
         return 2
-    for low in _candidate_lows(r):
+    for low in range(1, 1 << r, 2):
         h = (1 << r) | low
         if is_irreducible(h):
             return h

@@ -31,6 +31,9 @@ from .ringpoly import RingPolynomial
 # of the high part, which outweighs one more shift and add per round
 _FOLD_GAP_BITS = 64
 
+# a slot's (high bit, low bit) as binary digits -> its value
+_SLOT_VALUE = {("0", "0"): 0, ("0", "1"): 1, ("1", "0"): 2, ("1", "1"): 3}
+
 
 class GaloisRing:
     """The ring Z4[X]/(f) for a monic basic irreducible f of degree r.
@@ -103,10 +106,6 @@ class GaloisRing:
         """The monic modulus f as a polynomial over :data:`Z4`."""
         return RingPolynomial.from_ints(Z4, self._key[1])
 
-    def _pack(self, coords) -> int:
-        B = self._slot_bits
-        return sum(c << (i * B) for i, c in enumerate(coords))
-
     def _mul_packed(self, a: int, b: int) -> int:
         return self._reduce(a * b)
 
@@ -163,20 +162,20 @@ class GaloisRing:
         """The reduced packed c(X**2) for c(X) of at most r + 1 coefficients,
         constant term first: coefficient k goes to slot 2k, and the 2r + 1
         slots are reduced as a product is."""
-        B2 = 2 * self._slot_bits
-        return self._reduce(sum(c << (k * B2) for k, c in enumerate(coeffs)))
+        return self._reduce(_pack(coeffs, 2 * self._slot_bits))
 
     def _lift(self, bits: int) -> "GaloisRingElement":
         """The element with 0/1 coordinates read from the bits of a residue
-        mod 2 (bit i for X**i): an element over that residue."""
-        coords = ((bits >> i) & 1 for i in range(bits.bit_length()))
-        return GaloisRingElement(self, self._pack(coords))
+        mod 2 (bit i for X**i): an element over that residue, read from the
+        binary digits of the residue with B - 1 zeros between two of them."""
+        pad = "0" * (self._slot_bits - 1)
+        return GaloisRingElement(self, int(pad.join(format(bits, "b")), 2))
 
     def element(self, coords) -> "GaloisRingElement":
         coords = [int(c) % 4 for c in coords]
         if len(coords) > self.r:
             raise ValueError("coordinate vector longer than the extension degree")
-        return GaloisRingElement(self, self._pack(coords))
+        return GaloisRingElement(self, _pack(coords, self._slot_bits))
 
     def embed(self, n: int) -> "GaloisRingElement":
         """Canonical embedding of Z4: the constant with value n mod 4."""
@@ -211,9 +210,11 @@ class GaloisRingElement:
 
     @property
     def coords(self) -> tuple:
-        """Base-4 coordinates, coefficient of X**0 first, length r."""
-        v, B = self.packed, self.ring._slot_bits
-        return tuple((v >> s) & 3 for s in range(0, self.ring._split, B))
+        """Base-4 coordinates, coefficient of X**0 first, length r: the high
+        and the low bit of every slot, sliced from one binary string."""
+        B = self.ring._slot_bits
+        bits = format(self.packed, f"0{self.ring._split}b")
+        return tuple(map(_SLOT_VALUE.__getitem__, zip(bits[-2::-B], bits[-1::-B])))
 
     def _check_ring(self, other):
         if not isinstance(other, GaloisRingElement):
@@ -262,11 +263,9 @@ class GaloisRingElement:
         """Unit inverse: invert mod 2 in the residue field, then lift."""
         if not self.is_unit():
             raise ZeroDivisionError("not a unit in the Galois ring")
-        ring = self.ring
-        a2 = 0
-        for i, c in enumerate(self.coords):
-            if c % 2:
-                a2 |= 1 << i
+        ring, B = self.ring, self.ring._slot_bits
+        # the low bit of every slot, top slot first: the residue mod 2
+        a2 = int(format(self.packed, f"0{ring._split}b")[B - 1 :: B], 2)
         b1 = ring._lift(f2.inverse_mod(a2, ring._mod2))
         b = b1 * (ring.embed(2) - self * b1)
         if self * b != ring.one:
@@ -310,6 +309,14 @@ class GaloisRingElement:
 
     def __repr__(self):
         return f"<{self} in {self.ring!r}>"
+
+
+def _pack(coords, B: int) -> int:
+    """One int holding coordinate i, 0..3, in the B-bit slot at bit i*B,
+    parsed from one binary string of the slots, top slot first."""
+    pad = "0" * (B - 2)
+    slots = (pad + "00", pad + "01", pad + "10", pad + "11")
+    return int("".join([slots[c] for c in reversed(coords)]) or "0", 2)
 
 
 def _fold_pieces(coeffs: list[int], B: int) -> tuple[tuple[int, int], ...]:

@@ -4,8 +4,9 @@ The solvability oracle decides A x = b over Z4 by unit-pivot elimination
 followed by halving the leftover all-even subsystem into GF(2); minimal
 cyclic annihilator degrees then come from trying degrees in ascending
 order. The Galois-ring oracles work on plain coordinate tuples (constant
-term first) of Z4[X]/(f): a schoolbook product with top-down reduction
-by the monic f, the pairwise unit-difference scan over a power table, and
+term first) of Z4[X]/(f): the packed slot layout written and read one
+shift per slot, a schoolbook product with top-down reduction by the
+monic f, the pairwise unit-difference scan over a power table, and
 the sequence values S(gamma**v) summed one term at a time. The
 generating polynomial and the class indicator polynomials are polynomials
 over Z4 read straight off the period and the class sets. Over GF(2)
@@ -109,6 +110,21 @@ def cyclic_min_degree(values: list[int]) -> int:
         if cyclic_annihilator_exists(values, degree):
             return degree
     raise AssertionError("1 + 3X^n always annihilates; degree n must succeed")
+
+
+def pack_slots(coords, B: int) -> int:
+    """One int holding coords[i] in the B-bit slot at bit i*B."""
+    return sum(c << (i * B) for i, c in enumerate(coords))
+
+
+def slot_values(packed: int, r: int, B: int) -> tuple:
+    """The low two bits of each of the r B-bit slots of packed, slot 0 first."""
+    return tuple((packed >> (i * B)) & 3 for i in range(r))
+
+
+def lift_bits(bits: int, B: int) -> int:
+    """Bit i of bits in the B-bit slot at bit i*B."""
+    return pack_slots(((bits >> i) & 1 for i in range(bits.bit_length())), B)
 
 
 def gr_mul(modulus: list[int], a, b) -> tuple:

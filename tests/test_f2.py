@@ -115,54 +115,6 @@ def test_search_golden_at_large_degree(r, low):
         f2.lex_smallest_irreducible.cache_clear()
 
 
-# the irreducibles of degree 2 .. 8, by trial division
-_SMALL_IRREDUCIBLES = [q for q in range(4, 512) if oracles.gf2_is_irreducible(q)]
-
-
-def test_sieve_moduli_are_the_small_irreducibles():
-    assert f2._sieve_moduli() == tuple(_SMALL_IRREDUCIBLES)
-    assert len(_SMALL_IRREDUCIBLES) == 69
-    assert max(map(f2.degree, _SMALL_IRREDUCIBLES)) == f2._SIEVE_DEGREE
-
-
-def _survivors(r: int, stop: int) -> set[int]:
-    """The lows below stop that the sieve lets through at degree r."""
-    out = set()
-    for low in f2._candidate_lows(r):
-        if low >= stop:
-            return out
-        out.add(low)
-    return out
-
-
-@pytest.mark.parametrize("r", [2, 3, 5, 8, 9, 10, 16, 17, 255, 256, 257, 511, 1018, 1100])
-def test_sieve_strikes_exactly_the_lows_with_a_small_factor(r):
-    # every low below 2**10 (all of them for r <= 10) passes iff it is odd,
-    # has an even number of terms and no q of degree 2 .. min(r - 1, 8)
-    # divides X**r + low, read off the schoolbook remainders of X**r and low
-    x_r = {q: oracles.gf2_divmod(1 << r, q)[1] for q in _SMALL_IRREDUCIBLES if f2.degree(q) < r}
-    stop = 1 << min(r, 10)
-    want = {
-        low
-        for low in range(1, stop, 2)
-        if not bin(low).count("1") & 1
-        and all(oracles.gf2_divmod(low, q)[1] != rem for q, rem in x_r.items())
-    }
-    assert _survivors(r, stop) == want
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(9, 1100), st.integers(0, (1 << 13) - 1))
-def test_sieve_matches_trial_division(r, half):
-    # a random odd low below 2**min(r, 13), against q | X**r + low by the
-    # schoolbook remainder of the whole candidate
-    low = (2 * half + 1) % (1 << r)
-    h = (1 << r) | low
-    divides = any(oracles.gf2_divmod(h, q)[1] == 0 for q in _SMALL_IRREDUCIBLES)
-    want = not divides and oracles.gf2_divmod(h, 3)[1] != 0
-    assert (low in _survivors(r, low + 1)) == want
-
-
 # full-degree t against h = X**r + low, r = 200 .. 1100 (both sides of
 # _FOURTH_POWER_BELOW): a sparse low of degree 2 .. r/2 - 1, whose fold
 # takes at least two rounds, or its reciprocal, whose low part is dense
@@ -255,6 +207,18 @@ def test_is_irreducible_matches_rabin_oracle(h):
     assert oracles.gf2_is_irreducible_ben_or(h) == want
 
 
+# a polynomial g of degree 200 .. 1100, far past the exhaustive degrees
+_LARGE = st.integers(200, 1100).flatmap(lambda d: st.integers(1 << d, (2 << d) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LARGE)
+def test_linear_factor_rejected_at_large_degree(g):
+    # X * g and (X + 1) * g: step 1 sees them before any other step
+    assert not f2.is_irreducible(oracles.gf2_mul(0b10, g))
+    assert not f2.is_irreducible(oracles.gf2_mul(0b11, g))
+
+
 def _irreducible_from(k: int, start: int) -> int:
     """The first irreducible X**k + low for low = start, start + 1, ...
     (mod 2**k), by Ben-Or's oracle."""
@@ -285,10 +249,14 @@ def test_is_irreducible_matches_oracles_on_products(factors):
 
 
 def _checkpoints(r: int) -> set[int]:
-    """Ben-Or's first steps and Rabin's steps r/q, as ``is_irreducible`` takes them."""
-    ben_or = range(1, min(r // 2, r.bit_length() - 1 + f2._BEN_OR_STEPS) + 1)
+    """The steps ``is_irreducible`` takes at r >= 2, in its plan: step 1
+    (the factors X and X + 1), the folded steps up to min(r/2, log2 r),
+    the full-size Ben-Or steps past them and Rabin's steps r/q."""
+    log = r.bit_length() - 1
+    folded = range(2, min(r // 2, log) + 1)
+    full = range(log + 1, min(r // 2, log + f2._BEN_OR_STEPS) + 1)
     primes = [q for q in range(2, r + 1) if r % q == 0 and all(q % d for d in range(2, q))]
-    return set(ben_or) | {r // q for q in primes}
+    return {1, *folded, *full} | {r // q for q in primes}
 
 
 def _gcd_steps_and_fixed_point(h: int) -> tuple[set[int], bool]:

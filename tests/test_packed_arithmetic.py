@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cyclo4 import f2
+from cyclo4 import f2, galois
 from cyclo4.galois import (
     Z4,
     GaloisRing,
@@ -108,6 +108,33 @@ def test_ring_axioms(args):
     assert (a - b).coords == tuple((x - y) % 4 for x, y in zip(a.coords, b.coords))
     assert a.is_unit() == oracles.gr_is_unit(a.coords)
     assert ring.element(a.coords) == a and hash(ring.element(a.coords)) == hash(a)
+
+
+def _check_slot_conversions(r: int, rng: random.Random) -> None:
+    """element, coords, _lift and the 2B-bit slots of c(X**2) against the
+    per-slot formulas, in the canonical ring of degree r."""
+    ring = GaloisRing._of_irreducible(f2.lex_smallest_irreducible(r))
+    B = ring._slot_bits
+    coords = [rng.randrange(4) for _ in range(rng.randint(0, r))]
+    x = ring.element(coords)
+    assert x.packed == oracles.pack_slots(coords, B)
+    assert x.coords == oracles.slot_values(x.packed, r, B) == (*coords, *[0] * (r - len(coords)))
+    assert galois._pack(coords, 2 * B) == oracles.pack_slots(coords, 2 * B)
+    bits = rng.getrandbits(r)
+    assert ring._lift(bits).packed == oracles.lift_bits(bits, B)
+    if x.is_unit():
+        # inverse reads x's residue mod 2 from the low bit of every slot
+        assert x * x.inverse() == ring.one
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 1100), st.randoms(use_true_random=False))
+def test_slot_conversions_match_per_slot_formulas(r, rng):
+    _check_slot_conversions(r, rng)
+
+
+def test_slot_conversions_at_r_4002():
+    _check_slot_conversions(4002, random.Random(4002))
 
 
 @pytest.mark.parametrize("p", [31, 73, 89, 127])
@@ -209,7 +236,7 @@ FOLD_RINGS = [
 def test_fold_pieces_add_up_to_the_fold(ring, count):
     pieces = ring._fold_pieces
     assert len(pieces) == count
-    neg_low = ring._pack([(-c) % 4 for c in _modulus(ring)[:-1]])
+    neg_low = oracles.pack_slots([(-c) % 4 for c in _modulus(ring)[:-1]], ring._slot_bits)
     assert sum(run << shift for shift, run in pieces) == neg_low
     assert all(run & ((1 << ring._slot_bits) - 1) for _, run in pieces)
 
