@@ -5,15 +5,28 @@ mod p and mod 2p (for odd g the two conditions coincide, but both are
 checked). The even powers of g mod 2p form D0, the odd powers D1, and
 their doubles E0, E1; together with {0, p} the four classes partition
 Z_2p. D0 and D1 exhaust the odd residues other than p, E0 and E1 the
-even residues other than 0. The four frozensets are the only record of
-the classes; everything that asks which class a residue is in reads them.
+even residues other than 0.
+
+``class_labels`` walks the powers of g once and writes each residue's
+class code into a 2p-byte array. The period is read from that array by
+one byte translation, with no set built; ``build_classes`` makes the
+four frozensets from it, and they are the only stored record of the
+classes: everything that asks which class a residue is in reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .primes import factorize, require_odd_prime
+
+# class codes of ``class_labels``: D0, D1, E0, E1, then the residues 0 and p
+D0, D1, E0, E1, ZERO, HALF = range(6)
+_UNLABELLED = 255
+
+# code -> 1 for one class's code, 0 for every other byte
+_IS_CLASS = tuple(bytes(int(b == code) for b in range(256)) for code in (D0, D1, E0, E1))
 
 
 def _order_is(g: int, modulus: int, target: int, target_factors) -> bool:
@@ -66,34 +79,41 @@ class GeneralizedCyclotomy:
         return len(shifted & self.e_class(j))
 
 
-def build_classes(p: int) -> GeneralizedCyclotomy:
+def class_labels(p: int) -> tuple[int, bytes]:
+    """g and the class code of every residue mod 2p, by one walk over
+    t = g**k mod 2p, k = 0 .. p - 2: t is in D(k mod 2) and 2t mod 2p in
+    E(k mod 2). Each step takes an even power t and writes t, g*t and
+    their doubles. Raises RuntimeError unless the powers label every
+    residue other than 0 and p, each class (p - 1)/2 times.
+
+    The array is handed out, not kept: ``GeneralizedCyclotomy`` holds the
+    four sets alone, so classes changed by ``dataclasses.replace`` carry no
+    stale copy of it."""
     require_odd_prime(p)
     g = find_common_primitive_root(p)
     n = 2 * p
-    half = (p - 1) // 2
-    d0 = set()
-    d1 = set()
-    t = 1
+    labels = bytearray([_UNLABELLED]) * n
+    labels[0] = ZERO
+    labels[p] = HALF
     g2 = g * g % n
-    for _ in range(half):
-        d0.add(t)
-        d1.add(t * g % n)
+    t = 1
+    for _ in range((p - 1) // 2):
+        u = t * g % n
+        labels[t] = D0
+        labels[2 * t % n] = E0
+        labels[u] = D1
+        labels[2 * u % n] = E1
         t = t * g2 % n
-    e0 = {2 * u % n for u in d0}
-    e1 = {2 * u % n for u in d1}
-
-    blocks = (d0, d1, e0, e1)
-    if set().union(*blocks) | {0, p} != set(range(n)):
+    if _UNLABELLED in labels:
         raise RuntimeError("internal: class construction does not cover Z_2p")
-    # 4 * (p - 1)/2 + 2 = 2p residues covering Z_2p: no residue is in two classes
-    if any(len(block) != half for block in blocks):
+    if any(labels.count(code) != (p - 1) // 2 for code in (D0, D1, E0, E1)):
         raise RuntimeError("internal: class cardinalities are off")
+    return g, bytes(labels)
 
-    return GeneralizedCyclotomy(
-        p=p,
-        g=g,
-        d0=frozenset(d0),
-        d1=frozenset(d1),
-        e0=frozenset(e0),
-        e1=frozenset(e1),
+
+def build_classes(p: int) -> GeneralizedCyclotomy:
+    g, labels = class_labels(p)
+    d0, d1, e0, e1 = (
+        frozenset(compress(range(2 * p), labels.translate(is_class))) for is_class in _IS_CLASS
     )
+    return GeneralizedCyclotomy(p=p, g=g, d0=d0, d1=d1, e0=e0, e1=e1)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from . import f2
-from .primes import require_odd_prime
+from .primes import factorize, require_odd_prime
 from .ringpoly import RingPolynomial
 
 
@@ -338,12 +338,14 @@ def _fold_pieces(coeffs: list[int], B: int) -> tuple[tuple[int, int], ...]:
 
 
 def ord2_mod_p(p: int) -> int:
-    """The least r >= 1 with 2**r = 1 mod p; divides p - 1."""
+    """The least r >= 1 with 2**r = 1 mod p. It divides p - 1, so it is
+    found from the primes q | p - 1: starting at r = p - 1, divide r by q
+    while 2**(r/q) = 1 mod p."""
     require_odd_prime(p)
-    r, t = 1, 2 % p
-    while t != 1:
-        t = t * 2 % p
-        r += 1
+    r = p - 1
+    for q in factorize(p - 1):
+        while r % q == 0 and pow(2, r // q, p) == 1:
+            r //= q
     return r
 
 

@@ -8,8 +8,9 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Primality, proven by the Miller-Rabin bases above for n < _MR_LIMIT;
-    beyond it a composite could pass."""
+    """Primality: trial division by the bases above settles n < 43**2;
+    past that the Miller-Rabin test with them proves it for n < _MR_LIMIT,
+    and beyond it a composite could pass."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -17,6 +18,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
+    if n < 43 * 43:  # a composite this small has a prime factor <= 41
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

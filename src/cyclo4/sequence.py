@@ -1,17 +1,22 @@
 """The period-2p quaternary sequence.
 
-One period is filled from the four cyclotomic classes: 0 on {0} and D0,
-1 on D1, 2 on {p} and E0, 3 on E1. Read as the coefficients of its
-generating polynomial over Z4, it is 2*X**p + S1 + 2*T0 + 3*T1 in the
-indicator polynomials S0, S1, T0, T1 of D0, D1, E0, E1.
+The period takes 0 on {0} and D0, 1 on D1, 2 on {p} and E0, 3 on E1.
+Read as the coefficients of its generating polynomial over Z4, it is
+2*X**p + S1 + 2*T0 + 3*T1 in the indicator polynomials S0, S1, T0, T1 of
+D0, D1, E0, E1. ``generate_sequence(p)`` reads it from the class codes of
+``cyclotomy.class_labels`` by one byte translation, with no set built;
+given classes, it fills the period from their four sets instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomy import GeneralizedCyclotomy, build_classes
+from .cyclotomy import GeneralizedCyclotomy, class_labels
 from .primes import require_odd_prime
+
+# class code of ``class_labels`` (D0, D1, E0, E1, then 0 and p) -> value
+_VALUE = bytes((0, 1, 2, 3, 0, 2)).ljust(256, b"\0")
 
 
 @dataclass(frozen=True)
@@ -39,12 +44,14 @@ class QuaternarySequence:
 
 
 def generate_sequence(p: int, classes: GeneralizedCyclotomy | None = None) -> QuaternarySequence:
-    c = classes if classes is not None else build_classes(p)
-    if c.p != p:
+    if classes is None:
+        _, labels = class_labels(p)
+        return QuaternarySequence(p=p, values=tuple(labels.translate(_VALUE)))
+    if classes.p != p:
         raise ValueError("classes built for a different p")
     values = [0] * (2 * p)
     values[p] = 2
-    for block, value in ((c.d1, 1), (c.e0, 2), (c.e1, 3)):
+    for block, value in ((classes.d1, 1), (classes.e0, 2), (classes.e1, 3)):
         for u in block:
             values[u] = value
     return QuaternarySequence(p=p, values=tuple(values))

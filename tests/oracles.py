@@ -29,11 +29,14 @@ summed over the power table of gamma for any period and any v, compared
 with its table entry for every v; and the class products behind the
 factorization check and Lemma 9 are expanded one linear factor at a time,
 schoolbook, over that power table. The period itself is rebuilt from
-Euler's criterion, without the cyclotomic classes.
+Euler's criterion, without the cyclotomic classes, and the classes as
+sets, by a walk of g that adds each power to a set, with the checks in set
+form. The order of 2 mod p is found by doubling until 1 comes back.
 """
 
 from __future__ import annotations
 
+from cyclo4.cyclotomy import GeneralizedCyclotomy, find_common_primitive_root
 from cyclo4.galois import Z4, powers_of
 from cyclo4.ringpoly import RingPolynomial
 
@@ -569,3 +572,40 @@ def class_products_by_expansion(ws) -> dict:
             acc = acc * RingPolynomial(ring, [-powers[v], ring.one])
         products[name] = acc
     return products
+
+
+def classes_by_set_walk(p: int) -> GeneralizedCyclotomy:
+    """The four classes as sets: the even powers of g mod 2p into D0, the
+    odd ones into D1, their doubles into E0 and E1. Raises RuntimeError
+    unless the sets and {0, p} cover Z_2p with (p - 1)/2 elements each."""
+    g = find_common_primitive_root(p)
+    n = 2 * p
+    half = (p - 1) // 2
+    d0 = set()
+    d1 = set()
+    t = 1
+    g2 = g * g % n
+    for _ in range(half):
+        d0.add(t)
+        d1.add(t * g % n)
+        t = t * g2 % n
+    e0 = {2 * u % n for u in d0}
+    e1 = {2 * u % n for u in d1}
+    blocks = (d0, d1, e0, e1)
+    if set().union(*blocks) | {0, p} != set(range(n)):
+        raise RuntimeError("class construction does not cover Z_2p")
+    if any(len(block) != half for block in blocks):
+        raise RuntimeError("class cardinalities are off")
+    return GeneralizedCyclotomy(
+        p=p, g=g, d0=frozenset(d0), d1=frozenset(d1), e0=frozenset(e0), e1=frozenset(e1)
+    )
+
+
+def ord2_by_doubling(p: int) -> int:
+    """The least r >= 1 with 2**r = 1 mod p, by doubling 2 until 1 comes
+    back: up to p - 2 products."""
+    r, t = 1, 2 % p
+    while t != 1:
+        t = t * 2 % p
+        r += 1
+    return r

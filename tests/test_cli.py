@@ -1,3 +1,4 @@
+import hashlib
 import json
 import types
 
@@ -6,6 +7,11 @@ import pytest
 from cyclo4 import cli
 from cyclo4.cli import CSV_HEADER, main
 from cyclo4.sequence import generate_sequence
+
+# sha256 of `sweep --from 3 --to 2000 --format json` with every
+# elapsed_ms dropped, computed when each period was still filled from the
+# class sets
+_SWEEP_DIGEST_3_TO_2000 = "7e95e958a5ed8d158a2ab256321e96f5ab21fc95645c1f368024f8a6f2ed96ef"
 
 
 def run(capsys, *argv):
@@ -195,6 +201,16 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--from", "3", "--to", "10",
                            "--out", str(tmp_path / "missing" / "x.csv"))
         assert code == 1
+
+    @pytest.mark.slow
+    def test_json_to_2000_pinned(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--from", "3", "--to", "2000", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        for rec in doc["records"]:
+            del rec["elapsed_ms"]
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_DIGEST_3_TO_2000
 
 
 class TestExitCodes:

@@ -1,7 +1,10 @@
 import pytest
 
+import oracles
+from cyclo4 import cyclotomy
 from cyclo4.cyclotomy import build_classes, find_common_primitive_root
 from cyclo4.primes import factorize, odd_primes
+from cyclo4.sequence import generate_sequence
 
 
 class TestPrimitiveRoot:
@@ -28,6 +31,20 @@ class TestPrimitiveRoot:
 
 
 class TestBuildClasses:
+    def test_matches_the_set_walk_oracle(self):
+        for p in odd_primes(3, 2000):
+            assert build_classes(p) == oracles.classes_by_set_walk(p), p
+
+    @pytest.mark.parametrize("p, g", [(7, 13), (13, 25), (17, 9), (31, 5)])
+    def test_rejects_a_root_that_is_not_primitive(self, monkeypatch, p, g):
+        # g has order below p - 1 mod 2p, so its powers miss residues
+        assert any(pow(g, k, 2 * p) == 1 for k in range(1, p - 1))
+        monkeypatch.setattr(cyclotomy, "find_common_primitive_root", lambda _: g)
+        with pytest.raises(RuntimeError, match="does not cover Z_2p"):
+            build_classes(p)
+        with pytest.raises(RuntimeError, match="does not cover Z_2p"):
+            generate_sequence(p)
+
     def test_p3(self):
         c = build_classes(3)
         assert (c.d0, c.d1, c.e0, c.e1) == (

@@ -308,6 +308,60 @@ def test_product_of_coprime_degrees_rejected_by_final_comparison(a, b):
     assert not f2.is_irreducible(product)
 
 
+def _plan_trace(monkeypatch, h: int) -> tuple[bool, int, int]:
+    """``is_irreducible(h)``, with the number of its gcds at degree
+    r = deg h and the step i it reached, t = X**(2**i) mod h, counted
+    through wrapped ``gcd`` and ``_frobenius`` maps."""
+    r = f2.degree(h)
+    real_gcd, real_frobenius = f2.gcd, f2._frobenius
+    counts = {"gcds": 0, "step": 0}
+
+    def gcd(a, b):
+        counts["gcds"] += max(a.bit_length(), b.bit_length()) > r
+        return real_gcd(a, b)
+
+    def frobenius(m):
+        square, fourth = real_frobenius(m)
+
+        def counted_square(t):
+            counts["step"] += 1
+            return square(t)
+
+        def counted_fourth(t):
+            counts["step"] += 2
+            return fourth(t)
+
+        return counted_square, counted_fourth
+
+    monkeypatch.setattr(f2, "gcd", gcd)
+    monkeypatch.setattr(f2, "_frobenius", frobenius)
+    return f2.is_irreducible(h), counts["gcds"], counts["step"]
+
+
+def _two_factor_product(r: int, d: int) -> int:
+    return f2.mul(f2.lex_smallest_irreducible(d), f2.lex_smallest_irreducible(r - d))
+
+
+@pytest.mark.parametrize(
+    "r, d", [(r, d) for r in (100, 466) for d in range(1, r.bit_length())]
+)
+def test_small_factor_rejected_with_no_gcd_at_degree_r(monkeypatch, r, d):
+    # d <= floor(log2 r): step 1 or a folded step sees the factor
+    assert _plan_trace(monkeypatch, _two_factor_product(r, d)) == (False, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "r, d",
+    [(r, d) for r in (100, 466) for d in range(r.bit_length(), r.bit_length() + f2._BEN_OR_STEPS)],
+)
+def test_factor_past_the_folds_rejected_at_its_own_step(monkeypatch, r, d):
+    # floor(log2 r) < d <= floor(log2 r) + 8: the full-size Ben-Or step d
+    # sees the factor, before any squaring past X**(2**d)
+    irreducible, gcds, step = _plan_trace(monkeypatch, _two_factor_product(r, d))
+    assert not irreducible
+    assert 1 <= gcds and step <= d
+
+
 def test_reciprocals_of_table_entries_accepted():
     # the reciprocal of an irreducible is irreducible; its low part is
     # dense, so ``mod`` reduces every square

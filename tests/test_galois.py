@@ -14,7 +14,7 @@ from cyclo4.galois import (
     ord2_mod_p,
     powers_of,
 )
-from cyclo4.primes import odd_primes
+from cyclo4.primes import factorize, odd_primes
 from cyclo4.ringpoly import RingPolynomial
 
 
@@ -35,6 +35,17 @@ class TestOrd2:
     def test_rejects_non_odd_primes(self, bad):
         with pytest.raises(ValueError):
             ord2_mod_p(bad)
+
+    def test_matches_doubling_below_20000(self):
+        for p in odd_primes(3, 20000):
+            assert ord2_mod_p(p) == oracles.ord2_by_doubling(p), p
+
+    @pytest.mark.parametrize("p", [1_000_000_007, 998_244_353, 2**31 - 1])
+    def test_large_primes_without_a_walk(self, p):
+        # 2**r = 1 and no 2**(r/q) = 1: r is the order, found in no p-step loop
+        r = ord2_mod_p(p)
+        assert (p - 1) % r == 0 and pow(2, r, p) == 1
+        assert all(pow(2, r // q, p) != 1 for q in factorize(r))
 
 
 class TestLift:

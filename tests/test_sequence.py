@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 import oracles
+from cyclo4 import cli, cyclotomy
 from cyclo4.cyclotomy import build_classes
 from cyclo4.galois import Z4, construct_ring, find_gamma, powers_of
 from cyclo4.primes import odd_primes
@@ -53,8 +55,32 @@ class TestGeneration:
             QuaternarySequence(p=3, values=(0, 0, 2, 2, 4, 1))  # alphabet
 
     def test_matches_the_euler_criterion_oracle(self):
-        for p in odd_primes(3, 499):
-            assert generate_sequence(p).values == oracles.period_by_euler(p), p
+        # the period from the class codes, and filled from the class sets
+        for p in odd_primes(3, 2000):
+            want = oracles.period_by_euler(p)
+            assert generate_sequence(p).values == want, p
+            assert generate_sequence(p, build_classes(p)).values == want, p
+
+    def test_builds_no_class_sets(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("class sets built")
+
+        monkeypatch.setattr(cyclotomy, "build_classes", refuse)
+        monkeypatch.setattr(cli, "build_classes", refuse)
+        assert generate_sequence(7).values == GOLDEN[7]
+        assert cli.main(["lc", "--p", "13", "--format", "json"]) == 0
+        assert cli.main(["sweep", "--from", "3", "--to", "60"]) == 0
+
+    def test_memory_stays_small_at_large_p(self):
+        # one byte per residue while walking, then the 2p-entry tuple
+        # (1.7 MB of pointers to small ints) at p = 104729
+        tracemalloc.start()
+        try:
+            generate_sequence(104729)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("p", [5, 7, 13, 17])
     def test_follows_replaced_classes(self, p):
