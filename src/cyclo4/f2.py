@@ -16,7 +16,9 @@ The ordered search tries X**r + l for the odd l in increasing order. Most
 candidates have a small factor, which the test looks for first: X + 1,
 then its small Ben-Or steps on h folded mod X**(2**i - 1) - 1, with no
 gcd at degree r. Its other steps square by a table spread and shifts at
-the few set bits of h's low part.
+the few set bits of h's low part. Between the two, the search alone
+strikes the candidates whose discriminant mod 8 shows them reducible by
+Swan's theorem, from work mod 8 on k x k matrices (k = deg l).
 """
 
 from __future__ import annotations
@@ -81,24 +83,27 @@ def mulmod(a: int, b: int, m: int) -> int:
 
 
 def gcd(a: int, b: int) -> int:
-    """Euclid's algorithm in one loop (von zur Gathen and Gerhard, *Modern
-    Computer Algebra*, ch. 3): each step either swaps the pair so that a
-    has the higher degree, or cancels a's leading term with a shifted b.
-    The cancellations between two swaps are one remainder step."""
+    """Euclid's algorithm (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, ch. 3) with no swaps: one inner loop cancels a's leading
+    term with a shifted b until deg a < deg b, the next reduces b by a the
+    same way. Each inner loop is one remainder step."""
     da, db = a.bit_length(), b.bit_length()
     while db:
-        if da < db:
-            a, b, da, db = b, a, db, da
-        else:
+        while da >= db:
             a ^= b << (da - db)
             da = a.bit_length()
+        if not da:
+            return b
+        while db >= da:
+            b ^= a << (db - da)
+            db = b.bit_length()
     return a
 
 
 def inverse_mod(a: int, m: int) -> int:
     """Inverse of a modulo m, for gcd(a, m) = 1.
 
-    The extended form of ``gcd``'s loop: each remainder r carries its
+    The extended form of ``gcd``'s loops: each remainder r carries its
     cofactor s with s*a = r mod m, and a step r0 ^= r1 << k takes
     s0 ^= s1 << k with it. As in the textbook extended Euclid, the cofactor
     of the last nonzero remainder has degree below deg m, so it is the
@@ -107,13 +112,19 @@ def inverse_mod(a: int, m: int) -> int:
     s0, s1 = 0, 1
     d0, d1 = r0.bit_length(), r1.bit_length()
     while d1:
-        if d0 < d1:
-            r0, r1, s0, s1, d0, d1 = r1, r0, s1, s0, d1, d0
-        else:
+        while d0 >= d1:
             k = d0 - d1
             r0 ^= r1 << k
             s0 ^= s1 << k
             d0 = r0.bit_length()
+        if not d0:
+            r0, s0 = r1, s1
+            break
+        while d1 >= d0:
+            k = d1 - d0
+            r1 ^= r0 << k
+            s1 ^= s0 << k
+            d1 = r1.bit_length()
     if r0 != 1:
         raise ZeroDivisionError("element is not invertible")
     return s0
@@ -265,11 +276,23 @@ def is_irreducible(h: int) -> bool:
     r = degree(h)
     if r < 2:
         return r == 1
+    return _small_steps(h, r) and _full_steps(h, r)
+
+
+def _small_steps(h: int, r: int) -> bool:
+    """Step 1 and the folded steps of ``is_irreducible`` (r >= 2): whether
+    no factor of degree up to min(r/2, log2 r) divides h, with no gcd at
+    degree r."""
     if not h & 1 or not h.bit_count() & 1:
         return False
     log = r.bit_length() - 1
-    if not all(_coprime_folded(h, i) for i in range(2, min(r // 2, log) + 1)):
-        return False
+    return all(_coprime_folded(h, i) for i in range(2, min(r // 2, log) + 1))
+
+
+def _full_steps(h: int, r: int) -> bool:
+    """The steps of ``is_irreducible`` past ``_small_steps``: the
+    full-size Ben-Or steps, Rabin's steps r/q and the final comparison."""
+    log = r.bit_length() - 1
     full = set(range(log + 1, min(r // 2, log + _BEN_OR_STEPS) + 1))
     full.update(r // q for q in factorize(r) if r // q > log)
     square, fourth = _frobenius(h)
@@ -285,6 +308,113 @@ def is_irreducible(h: int) -> bool:
     return t == x
 
 
+def _discriminant_mod8(r: int, low: int) -> int | None:
+    """D mod 8 for the discriminant D of H = X**r + L, where L is the lift
+    of an odd low with 0/1 coefficients and k = deg low < r; 0 when D is
+    even; None when r <= 3k - 2d (d below), which this test leaves open.
+
+    Swan's theorem (Swan, "Factorization of polynomials over finite
+    fields", Pacific J. Math. 12, 1962; Stickelberger's theorem at the
+    prime 2): when h = H mod 2 is squarefree with s irreducible factors,
+    D is odd and D = 1 (mod 8) if r - s is even, D = 5 if it is odd. When
+    h is not squarefree, D = disc(h) = 0 (mod 2). So an irreducible h has
+    D = 1 (mod 8) for odd r and D = 5 for even r, and any other value
+    shows h reducible.
+
+    D = (-1)**(r(r-1)/2) * Res(H, H'), with Res(H, G) the product of G(a)
+    over the roots a of H. At a root, a**r = -L(a), so a * H'(a) = M(a)
+    with M = X * L' - r * L, whose coefficient j is (j - r) * l_j, and the
+    roots multiply to (-1)**r * L(0) = (-1)**r. So
+    D = (-1)**(r(r+1)/2) * Res(H, M), with M of degree at most k.
+
+    If every coefficient of M is even, so is every M(a), and D. Otherwise
+    let d be the highest degree of an odd one. Over the 2-adic integers
+    Z_2, Hensel's lemma splits M = P * U with P monic of degree d,
+    P = M (mod 2), and U = U(0) (mod 2), an odd constant. Two Newton steps
+    give P mod 8: when M = Q * P + R with R = 0 (mod 2**i),
+    M - (P + Q(0) * R) * Q = R * (1 - Q(0) * Q) = 0 (mod 2**(i+1)), as
+    Q = Q(0) (mod 2), an odd constant. Then Res(H, M) = Res(H, P) *
+    Res(H, U), and:
+
+    - Res(H, P) = (-1)**(rd) * N, N the product of H(b) over the roots b
+      of P: the determinant of multiplication by H on Z_2[X]/(P).
+    - Res(H, U) is U(0)**r times the norm of 1 + 2w, for
+      w = (U(a) - U(0)) / (2 U(0)), a polynomial in a of degree at most
+      k - d with no constant term. The power sums of the roots of H
+      vanish in degrees 0 < j < r - k (Newton's identities: H has no
+      terms between X**k and X**r), so for r > 3k - 2d the traces of w
+      and w**2 are 0, and the norm det(1 + 2w) = 1 + 2 e1 + 4 e2 (mod 8)
+      is 1, as e1 = Tr(w) and 2 e2 = Tr(w)**2 - Tr(w**2). U(0)**r is 1
+      (mod 8) for even r. For odd r, M(0) = -r is odd, and
+      U(0) = -r * P(0) (mod 8).
+
+    N mod 8 is the determinant mod 8 of the d x d matrix of the rows
+    t * X**i mod P, t = X**r + L mod P, over Z/8. Elimination on odd
+    pivots (units, each its own inverse mod 8) gives it exactly; a column
+    with no odd entry left makes the matrix singular mod 2, and N and D
+    even. There the polynomials are Python ints with a coefficient per
+    w-bit slot, wide enough that no sum of products overflows into the
+    next slot, and reduction mod P is Barrett's, exact for polynomials of
+    degree below 2d: two products with mu = X**(2d-1) div P."""
+    k = low.bit_length() - 1
+    bits = [low >> j & 1 for j in range(k + 1)]
+    m = [(j - r) * v & 7 for j, v in enumerate(bits)]
+    d = max((j for j, v in enumerate(m) if v & 1), default=-1)
+    if d < 0:
+        return 0
+    if r <= 3 * k - 2 * d:
+        return None
+    p = [v & 1 for v in m[:d]]  # P without its leading 1
+
+    def remainder(a: list[int]) -> list[int]:
+        """a mod P over Z/8, and above it the quotient (unreduced)."""
+        a = a[:]
+        for j in range(len(a) - 1, d - 1, -1):
+            c = a[j] & 7
+            for i, v in enumerate(p):
+                a[j - d + i] -= c * v
+        return a
+
+    for _ in range(2):
+        rem = remainder(m)
+        p = [(v + rem[d] * s) & 7 for v, s in zip(p, rem)]
+    det = (-1) ** (r * (r + 1) // 2 + r * d)
+    if r & 1:
+        det *= -r * (p[0] if d else 1)  # U(0)**r
+    w = (100 * d).bit_length()
+
+    def pack(coeffs) -> int:
+        return sum((v & 7) << w * i for i, v in enumerate(coeffs))
+
+    mask, mneg = pack([7] * d), pack([-v for v in p] + [-1])
+    mu = pack(remainder([0] * (2 * d - 1) + [1])[d:])
+
+    def reduce(a: int) -> int:
+        q = (a >> w * d & mask) * mu >> w * (d - 1) & mask
+        return a + q * mneg & mask
+
+    t = 1
+    for bit in bin(r)[2:]:
+        t = reduce(t * t << w * (bit == "1"))
+    rows = [t + pack(remainder(bits)[:d]) & mask]
+    for _ in range(1, d):
+        rows.append(reduce(rows[-1] << w))
+    for j in range(d):
+        s = w * j
+        i = next((i for i in range(j, d) if rows[i] >> s & 1), None)
+        if i is None:
+            return 0
+        if i != j:
+            rows[i], rows[j], det = rows[j], rows[i], -det
+        u = rows[j] >> s & 7
+        det *= u
+        for i in range(j + 1, d):
+            f = -(rows[i] >> s) * u & 7
+            if f:
+                rows[i] = rows[i] + f * rows[j] & mask
+    return det & 7
+
+
 @lru_cache(maxsize=None)
 def lex_smallest_irreducible(r: int) -> int:
     """The irreducible of degree r whose coefficients, read high to low
@@ -292,14 +422,17 @@ def lex_smallest_irreducible(r: int) -> int:
 
     The ordered search tries X**r + l for the odd l in increasing order
     (X divides the others, for r >= 2) and returns the first one that
-    passes ``is_irreducible``, so the result has passed exactly one
-    irreducibility test in this call."""
+    passes the steps of ``is_irreducible``. Between ``_small_steps`` and
+    the first gcd at degree r or squaring it strikes the candidates whose
+    discriminant mod 8 (``_discriminant_mod8``) is not Swan's value for an
+    irreducible of degree r: 1 for odd r, 5 for even r."""
     if r < 1:
         raise ValueError("degree must be positive")
     if r == 1:
         return 2
+    swan = (None, 5 - 4 * (r & 1))
     for low in range(1, 1 << r, 2):
         h = (1 << r) | low
-        if is_irreducible(h):
+        if _small_steps(h, r) and _discriminant_mod8(r, low) in swan and _full_steps(h, r):
             return h
     raise RuntimeError(f"internal: no irreducible of degree {r} found")

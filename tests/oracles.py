@@ -13,7 +13,10 @@ over Z4 read straight off the period and the class sets. Over GF(2)
 (bitmask polynomials) there is a coefficient-by-coefficient product, a
 schoolbook remainder and Euclid's gcd on it, irreducibility by exhaustive
 trial division, by Ben-Or's test and by the Rabin test (both squaring by
-bit spreading and that remainder), and an incremental column echelon
+bit spreading and that remainder), the irreducible factors by trial
+division, the exact discriminant of the 0/1 lift to Z[X] as a Sylvester
+determinant (Bareiss's fraction-free elimination in Python ints), and an
+incremental column echelon
 that finds the minimal connection polynomial by a route independent of
 the library's module reduction, with a plain cyclic annihilation test. Everything here is
 deliberately naive and separate from the library's own code paths. The
@@ -273,6 +276,50 @@ def gf2_is_irreducible_rabin(h: int) -> bool:
         if i in checkpoints and gf2_gcd(t ^ x, h) != 1:
             return False
     return t == x
+
+
+def gf2_factors(h: int) -> list[int]:
+    """The irreducible factors of h (degree >= 1), with multiplicity, by
+    trial division by 2, 3, 4, ... in increasing order: each divisor found
+    is irreducible, since its own factors are smaller and divided out."""
+    factors, d = [], 2
+    while 2 * (d.bit_length() - 1) <= h.bit_length() - 1:
+        q, rem = gf2_divmod(h, d)
+        if rem:
+            d += 1
+        else:
+            factors.append(d)
+            h = q
+    return factors + [h] * (h.bit_length() > 1)
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    a = [row[:] for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for i in range(n - 1):
+        if not a[i][i]:
+            j = next((j for j in range(i + 1, n) if a[j][i]), None)
+            if j is None:
+                return 0
+            a[i], a[j], sign = a[j], a[i], -sign
+        for j in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[j][c] = (a[j][c] * a[i][i] - a[j][i] * a[i][c]) // prev
+        prev = a[i][i]
+    return sign * a[-1][-1]
+
+
+def discriminant(h: int) -> int:
+    """The discriminant of H, h (degree r >= 1) lifted to Z[X] with 0/1
+    coefficients: (-1)**(r(r-1)/2) * Res(H, H'), with the resultant the
+    determinant of the (2r - 1) x (2r - 1) Sylvester matrix."""
+    r = h.bit_length() - 1
+    f = [h >> i & 1 for i in range(r, -1, -1)]        # high to low
+    g = [i * (h >> i & 1) for i in range(r, 0, -1)]
+    size = 2 * r - 1
+    rows = [[0] * i + f + [0] * (size - r - 1 - i) for i in range(r - 1)]
+    rows += [[0] * i + g + [0] * (size - r - i) for i in range(r)]
+    return (-1) ** (r * (r - 1) // 2) * _bareiss_det(rows)
 
 
 def horner(poly, point):

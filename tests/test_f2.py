@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import signal
@@ -105,14 +106,97 @@ def test_search_digest_pinned():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("r, low", [(4002, 0x16B), (4004, 0x419), (8000, 0x1961)])
+@pytest.mark.parametrize("r, low", [(4002, 0x16B), (4004, 0x419), (8000, 0x1961), (4001, 0x18ED)])
 def test_search_golden_at_large_degree(r, low):
-    # found by the plain ordered search (8000 is the order of 2 mod 16001)
+    # found by the plain ordered search (8000 is the order of 2 mod 16001);
+    # 4001, odd, by the search before the discriminant-parity test
     f2.lex_smallest_irreducible.cache_clear()
     try:
         assert f2.lex_smallest_irreducible(r) == (1 << r) | low
     finally:
         f2.lex_smallest_irreducible.cache_clear()
+
+
+def _check_discriminant_mod8(r: int, low: int) -> None:
+    # the pre-test's D mod 8 is exact where it decides and D is odd; for
+    # even D it returns 0. It decides every low of degree below r/3.
+    got = f2._discriminant_mod8(r, low)
+    if got is not None:
+        d = oracles.discriminant((1 << r) | low)
+        assert got == (d % 8 if d % 2 else 0), (r, hex(low), d % 8, got)
+    else:
+        assert r <= 3 * f2.degree(low), (r, hex(low))
+
+
+def test_discriminant_mod8_matches_sylvester_exhaustively():
+    # r = 2 .. 16, every odd low < 2**min(r, 9), k = 0 included
+    for r in range(2, 17):
+        for low in range(1, 1 << min(r, 9), 2):
+            _check_discriminant_mod8(r, low)
+
+
+@pytest.mark.slow
+def test_discriminant_mod8_matches_sylvester_through_degree_30():
+    for r in range(17, 31):
+        for low in range(1, 1 << 9, 2):
+            _check_discriminant_mod8(r, low)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30).flatmap(lambda r: st.tuples(st.just(r), st.integers(0, (1 << (r - 1)) - 1))))
+def test_discriminant_mod8_matches_sylvester_for_any_low(case):
+    # lows up to degree r - 1, past the search's short ones
+    r, half = case
+    _check_discriminant_mod8(r, 2 * half + 1)
+
+
+def test_swan_parity_matches_factor_count():
+    # Swan's theorem on the oracles alone: D is odd iff h is squarefree,
+    # and then D = 1 (mod 8) iff r minus the number of factors is even
+    for r in range(2, 14):
+        for low in range(1, 1 << min(r, 9), 2):
+            h = (1 << r) | low
+            d, factors = oracles.discriminant(h), oracles.gf2_factors(h)
+            assert functools.reduce(oracles.gf2_mul, factors) == h
+            assert (d % 2 == 1) == (len(set(factors)) == len(factors)), hex(h)
+            if d % 2:
+                assert d % 8 == (1 if (r - len(factors)) % 2 == 0 else 5), hex(h)
+
+
+def test_struck_candidates_are_reducible():
+    # every odd low < 2**9 at r = 5 .. 40: a candidate whose D mod 8 is not
+    # Swan's value for an irreducible is reducible (or not squarefree)
+    struck = 0
+    for r in range(5, 41):
+        swan = 1 if r % 2 else 5
+        for low in range(1, 1 << min(r, 9), 2):
+            if f2._discriminant_mod8(r, low) not in (None, swan):
+                struck += 1
+                assert not oracles.gf2_is_irreducible_rabin((1 << r) | low), (r, hex(low))
+    assert struck > 2000
+
+
+# degree-r gcds of the search at r = 246, 292 and 359 before the
+# discriminant-parity test, counted as below
+_PARENT_SEARCH_GCDS = {246: 259, 292: 51, 359: 133}
+
+
+@pytest.mark.parametrize("r", sorted(_PARENT_SEARCH_GCDS))
+def test_parity_test_saves_degree_r_gcds(monkeypatch, r):
+    # a pre-test that is wired in but never strikes leaves the count as it was
+    real_gcd, count = f2.gcd, [0]
+
+    def gcd(a, b):
+        count[0] += max(a.bit_length(), b.bit_length()) > r
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(f2, "gcd", gcd)
+    f2.lex_smallest_irreducible.cache_clear()
+    try:
+        f2.lex_smallest_irreducible(r)
+    finally:
+        f2.lex_smallest_irreducible.cache_clear()
+    assert 0 < count[0] < _PARENT_SEARCH_GCDS[r]
 
 
 # full-degree t against h = X**r + low, r = 200 .. 1100 (both sides of

@@ -189,22 +189,30 @@ def test_check_gamma_agrees_with_pairwise_scan(p):
 
 
 def test_construct_ring_tests_the_modulus_once(monkeypatch):
-    calls = []
-    real = f2.is_irreducible
+    # the search runs the stages of is_irreducible itself, the last of
+    # them once on the modulus; nothing calls is_irreducible on it again
+    calls, tests = [], []
+    real_full, real_test = f2._full_steps, f2.is_irreducible
 
-    def counting(h):
+    def counting(h, r):
         calls.append(h)
-        return real(h)
+        return real_full(h, r)
 
-    monkeypatch.setattr(f2, "is_irreducible", counting)
+    def counting_test(h):
+        tests.append(h)
+        return real_test(h)
+
+    monkeypatch.setattr(f2, "_full_steps", counting)
+    monkeypatch.setattr(f2, "is_irreducible", counting_test)
     try:
         for p in (293, 719):
             construct_ring.cache_clear()
             f2.lex_smallest_irreducible.cache_clear()
             calls.clear()
+            tests.clear()
             ring = construct_ring(p)
             h = sum(1 << i for i, c in enumerate(ring.modulus.coeffs) if c.value % 2)
-            assert calls.count(h) == 1
+            assert calls.count(h) == 1 and h not in tests
             beta, gamma = find_gamma(ring, p)
             assert beta**p == ring.one and gamma**p == ring.embed(3)
     finally:
