@@ -7,8 +7,9 @@ their doubles E0, E1; together with {0, p} the four classes partition
 Z_2p. D0 and D1 exhaust the odd residues other than p, E0 and E1 the
 even residues other than 0.
 
-``class_labels`` walks the powers of g once and writes each residue's
-class code into a 2p-byte array. The period is read from that array by
+``class_labels`` walks the powers of g once, writing the code of each
+odd residue into a 2p-byte array, and the doubles take E0, E1 from those
+codes by one byte translation. The period is read from that array by
 one byte translation, with no set built; ``build_classes`` makes the
 four frozensets from it, and they are the only stored record of the
 classes: everything that asks which class a residue is in reads them.
@@ -25,6 +26,8 @@ from .primes import factorize, require_odd_prime
 D0, D1, E0, E1, ZERO, HALF = range(6)
 _UNLABELLED = 255
 
+# the code of an odd residue -> the code of its double: D0 -> E0, D1 -> E1
+_DOUBLE = bytes.maketrans(bytes((D0, D1)), bytes((E0, E1)))
 # code -> 1 for one class's code, 0 for every other byte
 _IS_CLASS = tuple(bytes(int(b == code) for b in range(256)) for code in (D0, D1, E0, E1))
 
@@ -82,9 +85,11 @@ class GeneralizedCyclotomy:
 def class_labels(p: int) -> tuple[int, bytes]:
     """g and the class code of every residue mod 2p, by one walk over
     t = g**k mod 2p, k = 0 .. p - 2: t is in D(k mod 2) and 2t mod 2p in
-    E(k mod 2). Each step takes an even power t and writes t, g*t and
-    their doubles. Raises RuntimeError unless the powers label every
-    residue other than 0 and p, each class (p - 1)/2 times.
+    E(k mod 2). Each step takes an even power t and writes t and g*t; then
+    one slice and translation gives each even residue 2k = 2(k + p) mod 2p
+    the E code of whichever of k, k + p is odd. Raises RuntimeError unless
+    the powers label every residue other than 0 and p (an odd residue left
+    unlabelled leaves its double unlabelled), each class (p - 1)/2 times.
 
     The array is handed out, not kept: ``GeneralizedCyclotomy`` holds the
     four sets alone, so classes changed by ``dataclasses.replace`` carry no
@@ -98,12 +103,13 @@ def class_labels(p: int) -> tuple[int, bytes]:
     g2 = g * g % n
     t = 1
     for _ in range((p - 1) // 2):
-        u = t * g % n
         labels[t] = D0
-        labels[2 * t % n] = E0
-        labels[u] = D1
-        labels[2 * u % n] = E1
+        labels[t * g % n] = D1
         t = t * g2 % n
+    doubled = bytearray(p - 1)
+    doubled[::2] = labels[1:p:2]
+    doubled[1::2] = labels[p + 2 :: 2]
+    labels[2::2] = doubled.translate(_DOUBLE)
     if _UNLABELLED in labels:
         raise RuntimeError("internal: class construction does not cover Z_2p")
     if any(labels.count(code) != (p - 1) // 2 for code in (D0, D1, E0, E1)):

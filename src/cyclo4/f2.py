@@ -7,10 +7,12 @@ then Rabin's) and the ordered search for the canonical (lexicographically
 smallest) irreducible of each degree; and powers in the residue field
 GF(2)[X]/(h), from which ``galois.find_gamma`` lifts its unit of order p.
 
-Division, remainders, gcd and inverses all run on one step: cancel the
-leading term of the higher-degree operand by XOR with the other one,
-shifted. Each loop carries the running degree, reads ``bit_length`` once
-per step and calls no other function per step.
+Products, quotients and powers take _W bits per step, from tables of
+2**_W multiples or powers. Remainders, gcds and inverses cancel the
+leading term of the higher-degree operand per step, by XOR with the other
+one, shifted: Euclid's quotients are mostly 1-2 bits, and a table of a
+long modulus's multiples did not pay in ``mod``. Each loop carries the
+running degree and reads ``bit_length`` once per step.
 
 The ordered search tries X**r + l for the odd l in increasing order. Most
 candidates have a small factor, which the test looks for first: X + 1,
@@ -42,6 +44,14 @@ _BEN_OR_STEPS = 8
 # than two squarings (r = 246: 0.8x, 700: 1.0x, 1018: 1.1x, 4002: 1.7x).
 _FOURTH_POWER_BELOW = 640
 
+# Bits per step of mul, quo_rem and powmod: 2 or 4. Best of 7, in ms, on the
+# sweep's operands (p = 503 .. 1000) and find_gamma's at the 8 rings primes,
+# per bit / W = 2 / 4 / 8 (2-vCPU VM): mul 0.88 / 0.32 / 0.20 / 0.45, quo_rem
+# 5.6 / 4.6 / 2.5 / 3.2, powmod 2.87 / 2.06 / 1.98 / 9.9 (its 256 powers).
+_W = 4
+# byte -> its j-th _W-bit field from the top, for ``_digits``
+_FIELDS = [bytes(v >> 8 - _W * (j + 1) & (1 << _W) - 1 for v in range(256)) for j in range(8 // _W)]
+
 # byte b -> its low (high) nibble with bit k moved to bit 2k
 _SPREAD_NIBBLE = (0, 1, 4, 5, 16, 17, 20, 21, 64, 65, 68, 69, 80, 81, 84, 85)
 _SPREAD_LOW = bytes(_SPREAD_NIBBLE[b & 15] for b in range(256))
@@ -53,16 +63,42 @@ def degree(a: int) -> int:
     return a.bit_length() - 1
 
 
+def _set_bits(x: int) -> list[int]:
+    return [j for j in range(x.bit_length()) if x >> j & 1]
+
+
+def _digits(x: int, count: int) -> bytearray:
+    """The count lowest base-2**_W digits of x, most significant first."""
+    per = 8 // _W
+    data = (x & (1 << _W * count) - 1).to_bytes(-(-count // per), "big")
+    out = bytearray(len(data) * per)
+    for j, field in enumerate(_FIELDS):
+        out[j::per] = data.translate(field)
+    return out[len(out) - count :]
+
+
+def _multiples(a: int) -> list[int]:
+    """u*a for u = 0 .. 2**_W - 1, indexed by u."""
+    table = [0, a]
+    for k in range(1, _W):
+        shifted = a << k
+        table += [m ^ shifted for m in table]
+    return table
+
+
 def mul(a: int, b: int) -> int:
-    # one pass per bit of the shorter operand
+    """The product, by the comb method (López and Dahab, "High-speed
+    software multiplication in F_2^m", INDOCRYPT 2000): the shorter factor
+    is read _W bits at a time from the top against a table of the 2**_W
+    multiples of the longer one; below 3 * 2**_W bits, by its set bits."""
     if a.bit_length() < b.bit_length():
         a, b = b, a
+    if b.bit_length() < 3 << _W:
+        return _shifted(a, _set_bits(b))
+    table = _multiples(a)
     res = 0
-    while b:
-        if b & 1:
-            res ^= a
-        a <<= 1
-        b >>= 1
+    for d in _digits(b, -(-b.bit_length() // _W)):
+        res = res << _W ^ table[d]
     return res
 
 
@@ -131,13 +167,31 @@ def inverse_mod(a: int, m: int) -> int:
 
 
 def quo_rem(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of a by a nonzero b, as ``mod`` steps with
-    the quotient bits collected."""
+    """Quotient and remainder of a by a nonzero b of degree d. A quotient of
+    n >= 8 * 2**_W bits, n >= d/2, takes _W bits per step as in a
+    table-driven CRC (Sarwate, CACM 1988): r, of degree below d, starts as a
+    without its low k*_W bits, k = ceil(n/_W). Each step appends the next
+    _W bits of a to r and cancels bits d .. d + _W - 1 of r by the one
+    multiple u*b (deg u < _W) that has them; u is the next quotient digit.
+    Other quotients take ``mod``'s steps with the quotient bits collected."""
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
+    d = b.bit_length() - 1
+    n = a.bit_length() - d
+    if n >= 8 << _W and 2 * n >= d:
+        k = -(-n // _W)
+        cancel, digit = [0] * (1 << _W), bytearray(256)
+        for u, m in enumerate(_multiples(b)):
+            cancel[m >> d], digit[m >> d] = m, b"0123456789abcdef"[u]
+        r = a >> _W * k
+        tops = _digits(a, k)
+        for i, c in enumerate(tops):
+            r = r << _W | c
+            tops[i] = t = r >> d
+            r ^= cancel[t]
+        return int(tops.translate(digit), 1 << _W), r
     q = 0
-    db = b.bit_length()
-    da = a.bit_length()
+    db, da = d + 1, n + d
     while da >= db:
         shift = da - db
         q |= 1 << shift
@@ -166,9 +220,9 @@ def _spread(t: int) -> int:
     return int.from_bytes(s, "little")
 
 
-def _frobenius(h: int) -> tuple[Callable[[int], int], Callable[[int], int]]:
+def _frobenius(h: int) -> tuple[Callable[[int], int], ...]:
     """The maps t -> t**2 mod h and t -> t**4 mod h, for t of degree below
-    r = deg h >= 1.
+    r = deg h >= 1, and the reduction s -> s mod h they end with.
 
     The square is ``_spread``. For h = X**r + low with 2 deg low < r, the
     part above X**r is folded by X**r = low, by shifts at the set bits of
@@ -177,17 +231,17 @@ def _frobenius(h: int) -> tuple[Callable[[int], int], Callable[[int], int]]:
     fourth power reads the binary digits of t in base 16 (power-of-two
     bases are exempt from Python's limit on int-string digits) and folds
     the same way. A dense low part would take many rounds, so ``mod``
-    reduces its squares. Elsewhere the fourth power is two squares."""
+    reduces by h. Elsewhere the fourth power is two squares."""
     r = degree(h)
     mask = (1 << r) - 1
     low = h & mask
     if 2 * degree(low) >= r:
 
-        def square(t: int) -> int:
-            return mod(_spread(t), h)
+        def reduce(s: int) -> int:
+            return mod(s, h)
 
     else:
-        shifts = [j for j in range(low.bit_length()) if low >> j & 1]
+        shifts = _set_bits(low)
 
         def reduce(s: int) -> int:
             hi = s >> r
@@ -198,28 +252,44 @@ def _frobenius(h: int) -> tuple[Callable[[int], int], Callable[[int], int]]:
                 hi = s >> r
             return s
 
-        def square(t: int) -> int:
-            return reduce(_spread(t))
+    def square(t: int) -> int:
+        return reduce(_spread(t))
 
-        if r < _FOURTH_POWER_BELOW:
-            return square, lambda t: reduce(int(bin(t)[2:], 16))
-    return square, lambda t: square(square(t))
+    if r < _FOURTH_POWER_BELOW and 2 * degree(low) < r:
+        return square, lambda t: reduce(int(bin(t)[2:], 16)), reduce
+    return square, lambda t: square(square(t)), reduce
 
 
 def powmod(a: int, n: int, h: int) -> int:
-    """a**n mod h for n >= 0 and deg h >= 1, left to right from a on the
-    top bit of n: squares by ``_frobenius(h)``, multiplies by ``mulmod``,
-    which loops over the shorter operand, so a short base costs little."""
+    """a**n mod h for n >= 0 and deg h >= 1, by the 2**_W-ary method: each
+    base-2**_W digit d of n after the top one costs _W/2 fourth powers by
+    ``_frobenius(h)`` and, for d > 0, one product by a**d mod h from a
+    table: shifts at its set bits, then the squares' reduction. For a short
+    base, such as ``galois.find_gamma``'s X, that is a shift or a few."""
     a = mod(a, h)
     if n == 0:
         return 1
-    square, _ = _frobenius(h)
-    t = a
-    for bit in bin(n)[3:]:
-        t = square(t)
-        if bit == "1":
-            t = mulmod(t, a, h)
+    _, fourth, reduce = _frobenius(h)
+    powers, shifts = [1], _set_bits(a)
+    while len(powers) < 1 << _W:
+        powers.append(reduce(_shifted(powers[-1], shifts)))
+    bits = [_set_bits(x) for x in powers]
+    digits = _digits(n, -(-n.bit_length() // _W))
+    t = powers[digits[0]]
+    for d in digits[1:]:
+        for _ in range(_W // 2):
+            t = fourth(t)
+        if d:
+            t = reduce(_shifted(t, bits[d]))
     return t
+
+
+def _shifted(t: int, shifts: list[int]) -> int:
+    """t times the polynomial with the given set bits."""
+    s = 0
+    for j in shifts:
+        s ^= t << j
+    return s
 
 
 def _fold(h: int, n: int) -> int:
@@ -295,7 +365,7 @@ def _full_steps(h: int, r: int) -> bool:
     log = r.bit_length() - 1
     full = set(range(log + 1, min(r // 2, log + _BEN_OR_STEPS) + 1))
     full.update(r // q for q in factorize(r) if r // q > log)
-    square, fourth = _frobenius(h)
+    square, fourth, _ = _frobenius(h)
     x = t = mod(2, h)
     i = 0
     for stop in sorted(full) + [r]:

@@ -159,13 +159,17 @@ def _cyclic_product(a: bytes, b: bytes, n: int) -> bytes:
     coefficient in every width-byte slot, one big-int product forms the
     whole convolution, and adding the part above slot n onto the low part
     wraps it. Both operands are first wrapped to n slots, so wrapped slot
-    k sums the n products a_i*b_j with i + j = k mod n, at most
-    9n < 256**width: no carry crosses a slot, and the low byte of a slot
-    is its value mod 4.
+    k sums the n products a_i*b_j with i + j = k mod n, at most 9n, or n
+    when both operands are 0/1 (as lift(g) and lift(u) are; they are
+    tested only where that takes fewer bytes), below 256**width: no carry
+    crosses a slot, and the low byte of a slot is its value mod 4.
     """
-    width = ((9 * n).bit_length() + 7) // 8
+    a, b = _wrap(a, n), _wrap(b, n)
+    width, narrow = ((9 * n).bit_length() + 7) // 8, (n.bit_length() + 7) // 8
+    if narrow < width and not a.translate(None, b"\x00\x01") and not b.translate(None, b"\x00\x01"):
+        width = narrow
     split = 8 * width * n
-    t = _pack(_wrap(a, n), width) * _pack(_wrap(b, n), width)
+    t = _pack(a, width) * _pack(b, width)
     t = (t & ((1 << split) - 1)) + (t >> split)
     return t.to_bytes(width * n, "little")[::width].translate(_MOD4)
 

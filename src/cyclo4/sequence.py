@@ -30,7 +30,11 @@ class QuaternarySequence:
         require_odd_prime(self.p)
         if len(self.values) != 2 * self.p:
             raise ValueError("period must have length 2p")
-        if not set(self.values) <= {0, 1, 2, 3}:
+        try:
+            stray = bytes(self.values).translate(None, b"\x00\x01\x02\x03")
+        except (TypeError, ValueError):  # a float, a string, or an int outside 0 .. 255
+            stray = True
+        if stray:
             raise ValueError("sequence values must lie in {0, 1, 2, 3}")
         if self.values[0] != 0 or self.values[self.p] != 2:
             raise ValueError("anchors violated: s_0 = 0 and s_p = 2 are forced")

@@ -348,6 +348,15 @@ def indicator_polynomials(classes) -> tuple:
     return tuple(indicator(block) for block in (classes.d0, classes.d1, classes.e0, classes.e1))
 
 
+def z4_cyclic_product(a, b, n: int) -> bytes:
+    """a*b mod (X**n - 1, 4), one coefficient pair at a time."""
+    acc = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            acc[(i + j) % n] += x * y
+    return bytes(v % 4 for v in acc)
+
+
 def annihilates(values: list[int], coeffs: list[int]) -> bool:
     """Does sum c_i X**i kill sum s_j X**j modulo (X**n - 1, 4)?"""
     n = len(values)

@@ -220,7 +220,7 @@ def _kernel_cases(draw):
 def test_frobenius_steps_match_schoolbook(case):
     h, t = case
     r, low = f2.degree(h), h & ((1 << f2.degree(h)) - 1)
-    square, fourth = f2._frobenius(h)
+    square, fourth, _ = f2._frobenius(h)
     if 2 * f2.degree(low) < r:
         # the spread square's part above X**r, times low, reaches X**r again
         assert f2.degree(oracles.gf2_mul(int(bin(t)[2:], 4) >> r, low)) >= r
@@ -405,7 +405,7 @@ def _plan_trace(monkeypatch, h: int) -> tuple[bool, int, int]:
         return real_gcd(a, b)
 
     def frobenius(m):
-        square, fourth = real_frobenius(m)
+        square, fourth, reduce = real_frobenius(m)
 
         def counted_square(t):
             counts["step"] += 1
@@ -415,7 +415,7 @@ def _plan_trace(monkeypatch, h: int) -> tuple[bool, int, int]:
             counts["step"] += 2
             return fourth(t)
 
-        return counted_square, counted_fourth
+        return counted_square, counted_fourth, reduce
 
     monkeypatch.setattr(f2, "gcd", gcd)
     monkeypatch.setattr(f2, "_frobenius", frobenius)
@@ -550,6 +550,104 @@ def test_exact_div(a, b):
     if f2.quo_rem(product ^ 1, b)[1]:
         with pytest.raises(ValueError):
             f2.exact_div(product ^ 1, b)
+
+
+# Where the windowed kernels switch on: ``mul`` reads a shorter factor of
+# at least _MUL_TABLE_BITS bits by its table, and ``quo_rem`` finds a
+# quotient of at least _QUO_TABLE_BITS bits (and half the divisor's
+# degree) by its table.
+_MUL_TABLE_BITS = 3 << f2._W
+_QUO_TABLE_BITS = 8 << f2._W
+
+
+def _bits_below(n: int):
+    return st.randoms(use_true_random=False).map(lambda rng: rng.getrandbits(n) if n else 0)
+
+
+# b of degree 0 .. _W + 2 or 100 .. 2000; a quotient of exactly n bits:
+# on either side of the table thresholds, or anywhere up to 2500 bits
+@st.composite
+def _division_cases(draw):
+    d = draw(st.integers(0, f2._W + 2) | st.integers(100, 2000))
+    edges = [_QUO_TABLE_BITS - 1, _QUO_TABLE_BITS, -(-d // 2) - 1, -(-d // 2)]
+    n = draw(st.sampled_from([e for e in edges if e > 0]) | st.integers(1, 2500))
+    b = 1 << d | draw(_bits_below(d))
+    a = 1 << (d + n - 1) | draw(_bits_below(d + n - 1))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_division_cases())
+def test_windowed_division_matches_schoolbook(case):
+    a, b = case
+    q, r = oracles.gf2_divmod(a, b)
+    assert f2.quo_rem(a, b) == (q, r)
+    assert f2.exact_div(a ^ r, b) == q
+    if r:
+        with pytest.raises(ValueError):
+            f2.exact_div(a, b)
+
+
+@pytest.mark.parametrize("n", [_QUO_TABLE_BITS - 1, _QUO_TABLE_BITS, _QUO_TABLE_BITS + 1, 2500])
+@pytest.mark.parametrize("d", [0, 1, f2._W - 1, f2._W, f2._W + 2, 100])
+def test_windowed_division_at_every_digit_alignment(d, n):
+    # all-ones and alternating dividends, and a remainder of every shape
+    b = (1 << d + 1) - 1 if d % 2 else 1 << d | 1
+    for a in ((1 << d + n) - 1, int("10" * ((d + n) // 2 + 1), 2) >> 1):
+        a |= 1 << (d + n - 1)
+        a &= (1 << (d + n)) - 1
+        assert f2.quo_rem(a, b) == oracles.gf2_divmod(a, b), (d, n)
+
+
+# a longer factor of up to 2000 bits and a shorter one on either side of
+# the comb threshold, or anywhere below the longer one's length
+@st.composite
+def _product_cases(draw):
+    la = draw(st.integers(_MUL_TABLE_BITS, 2000))
+    lb = draw(st.sampled_from([_MUL_TABLE_BITS - 1, _MUL_TABLE_BITS]) | st.integers(1, la))
+    a = 1 << (la - 1) | draw(_bits_below(la - 1))
+    b = 1 << (lb - 1) | draw(_bits_below(lb - 1))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_product_cases())
+def test_comb_product_divides_back(case):
+    # the per-bit division recovers each factor with no remainder, and
+    # quo_rem on this product and factor takes its table for long quotients
+    a, b = case
+    c = f2.mul(a, b)
+    assert c == f2.mul(b, a)
+    assert oracles.gf2_divmod(c, b) == (a, 0)
+    assert oracles.gf2_divmod(c, a) == (b, 0)
+
+
+# h = X**r + low, r = 5 .. 400, sparse low below r/2 or its reciprocal;
+# bases X, X + 1, X**2 and a dense short base; exponents whose base-2**_W
+# digits below the top one are all 0 or all 2**_W - 1, and exponents of
+# any bit length, a multiple of _W or not
+@st.composite
+def _window_power_cases(draw):
+    r = draw(st.integers(5, 400))
+    bits = draw(st.lists(st.integers(0, r // 2 - 1), max_size=6))
+    h = (1 << r) | sum(1 << j for j in set(bits)) | 1
+    if draw(st.booleans()):
+        h = int(bin(h)[:1:-1], 2)
+    a = draw(st.sampled_from([0b10, 0b11, 0b100]) | st.integers(1 << 10, (1 << 12) - 1))
+    w, k = f2._W, draw(st.integers(1, 3 * r // f2._W + 1))
+    top = draw(st.integers(1, (1 << w) - 1))
+    n = draw(
+        st.sampled_from([top << w * k, (top + 1 << w * k) - 1, (1 << w * k) - 1])
+        | st.integers(1, 1 << 3 * r)
+    )
+    return h, a, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(_window_power_cases())
+def test_windowed_powmod_matches_schoolbook(case):
+    h, a, n = case
+    assert f2.powmod(a, n, h) == oracles.gf2_pow_mod(a, n, h)
 
 
 def test_division_by_zero_rejected():

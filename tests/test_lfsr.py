@@ -130,6 +130,34 @@ class TestVerifyConnection:
         assert verify_connection(values, coeffs) == oracles.annihilates(values, coeffs)
 
 
+class TestCyclicProduct:
+    # Slots are sized for the largest wrapped sum: n products of 0/1
+    # operands (one byte up to n = 255), 9n otherwise (two bytes from n = 29).
+    @pytest.mark.parametrize("n", [1, 2, 28, 29, 255, 256, 300])
+    def test_full_slots_of_both_widths(self, n):
+        ones, threes = b"\x01" * n, b"\x03" * n
+        for a, b in ((ones, ones), (ones, threes), (threes, threes), (ones + ones, ones)):
+            assert lfsr._cyclic_product(a, b, n) == oracles.z4_cyclic_product(a, b, n), n
+
+    @pytest.mark.parametrize("n", [7281, 7282, 65535, 65536])
+    def test_all_ones_at_the_wide_slot_boundaries(self, n):
+        # every wrapped slot sums exactly n ones; 0/1 operands take two-byte
+        # slots from n = 7282 (where 9n needs three) and fill them at 65535
+        ones = b"\x01" * n
+        assert lfsr._cyclic_product(ones, ones, n) == bytes([n % 4]) * n
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_schoolbook(self, data):
+        # 0/1 or 0..3 operands, longer than n so that they wrap first
+        n = data.draw(st.integers(1, 40) | st.integers(240, 300))
+        ops = [
+            bytes(data.draw(st.lists(st.integers(0, top), min_size=1, max_size=n + 20)))
+            for top in (data.draw(st.sampled_from([1, 3])), data.draw(st.sampled_from([1, 3])))
+        ]
+        assert lfsr._cyclic_product(*ops, n) == oracles.z4_cyclic_product(*ops, n)
+
+
 @st.composite
 def _square_factor_periods(draw):
     """Periods whose odd layer S mod 2 is a multiple of f**2 modulo

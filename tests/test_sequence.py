@@ -54,6 +54,18 @@ class TestGeneration:
         with pytest.raises(ValueError):
             QuaternarySequence(p=3, values=(0, 0, 2, 2, 4, 1))  # alphabet
 
+    @pytest.mark.parametrize("stray", [0.0, 1.0, 4, -1, 256, "1", None])
+    def test_rejects_values_outside_z4(self, stray):
+        values = list(GOLDEN[7])
+        values[1] = stray
+        with pytest.raises(ValueError, match="must lie in"):
+            QuaternarySequence(p=7, values=tuple(values))
+
+    def test_rejects_a_float_period(self):
+        # it once passed the alphabet check and failed later in the synthesis
+        with pytest.raises(ValueError, match="must lie in"):
+            QuaternarySequence(p=7, values=tuple(float(v) for v in GOLDEN[7]))
+
     def test_matches_the_euler_criterion_oracle(self):
         # the period from the class codes, and filled from the class sets
         for p in odd_primes(3, 2000):
