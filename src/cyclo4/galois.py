@@ -181,10 +181,6 @@ class GaloisRing:
         """Canonical embedding of Z4: the constant with value n mod 4."""
         return self._constants[int(n) % 4]
 
-    @property
-    def unit_group_order(self) -> int:
-        return (1 << self.r) * ((1 << self.r) - 1)
-
     def __eq__(self, other):
         return self is other or (isinstance(other, GaloisRing) and self._key == other._key)
 
@@ -278,10 +274,6 @@ class GaloisRingElement:
         if self.packed >> self.ring._slot_bits:
             raise ValueError("element does not lie in the embedded Z4")
         return self.packed
-
-    @property
-    def is_embedded_constant(self) -> bool:
-        return not self.packed >> self.ring._slot_bits
 
     def __eq__(self, other):
         return (

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import index
 
 from . import f2
 from .primes import require_odd_prime
@@ -98,10 +99,14 @@ def theorem_lc(p: int) -> int:
 def _period_values(s) -> bytes:
     """One period (or coefficient vector) as bytes, each value reduced
     mod 4. Bytes (and a QuaternarySequence) take no Python-level loop; any
-    other iterable, a generator included, is read once."""
+    other iterable, a generator included, is read once, and each of its
+    values must be an integer: a float or a digit string is refused."""
     if isinstance(s, QuaternarySequence):
         s = bytes(s.values)
-    values = s.translate(_MOD4) if isinstance(s, bytes) else bytes(int(v) % 4 for v in s)
+    try:
+        values = s.translate(_MOD4) if isinstance(s, bytes) else bytes(index(v) % 4 for v in s)
+    except TypeError as exc:
+        raise ValueError(f"not a period of integers: {exc}") from None
     if not values:
         raise ValueError("empty period")
     return values

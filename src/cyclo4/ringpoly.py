@@ -88,10 +88,6 @@ class RingPolynomial:
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    @property
-    def constant(self):
-        return self.coeffs[0] if self.coeffs else self.ring.zero
-
     def coefficient(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
 
@@ -129,16 +125,6 @@ class RingPolynomial:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return RingPolynomial(self.ring, out)
-
-    def mod_cyclic(self, n: int) -> "RingPolynomial":
-        """Remainder modulo X**n - 1: coefficient of X**i folds onto X**(i % n)."""
-        if n < 1:
-            raise ValueError("cyclic modulus needs n >= 1")
-        zero = self.ring.zero
-        out = [zero] * n
-        for i, c in enumerate(self.coeffs):
-            out[i % n] = out[i % n] + c
         return RingPolynomial(self.ring, out)
 
     def __divmod__(self, divisor):

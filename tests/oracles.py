@@ -487,7 +487,7 @@ def scan_beta(ring, p: int):
     """The first power u**(|unit group| / p) distinct from 1 over the units
     u = X, X+1, X+2, ... in base-4 coordinate order: an element of order p,
     found without assuming that X is Teichmüller."""
-    exponent = ring.unit_group_order // p
+    exponent = (1 << ring.r) * ((1 << ring.r) - 1) // p  # the order of the unit group
     k = 4  # X
     while True:
         coords = [(k >> (2 * i)) & 3 for i in range(ring.r)]

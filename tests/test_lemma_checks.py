@@ -46,9 +46,9 @@ def test_agrees_with_the_quadratic_oracles_below_500():
 
 
 def _computed(p):
-    """A workspace whose gamma, class sums and period are computed from the
-    true classes: classes swapped in afterwards reach the checks alone, not
-    the values derived from them."""
+    """A workspace whose gamma and class sums are computed from the true
+    classes, and its period read: classes swapped in afterwards reach the
+    checks alone, not the values derived from them."""
     ws = _Workspace(p)
     ws.normalized, ws.seq
     return ws
@@ -260,7 +260,7 @@ def _expansion_verdicts(ws):
     names = {"D0": "G0", "D1": "G1", "E0": "L0", "E1": "L1"}
     bad = next(
         (name for name, poly in products.items()
-         if not all(c.is_embedded_constant for c in poly.coeffs)),
+         if any(any(c.coords[1:]) for c in poly.coeffs)),
         None,
     )
     nine = (

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import cyclo4
 from cyclo4 import cli, f2, lfsr
-from cyclo4.galois import Z4
 from cyclo4.lfsr import (
     LfsrResult,
     ResidueClass,
@@ -23,7 +22,6 @@ from cyclo4.lfsr import (
     verify_connection,
 )
 from cyclo4.primes import odd_primes
-from cyclo4.ringpoly import RingPolynomial
 from cyclo4.sequence import generate_sequence
 
 import oracles
@@ -103,14 +101,31 @@ class TestVerifyConnection:
         with pytest.raises(ValueError, match="constant term 1"):
             verify_connection(s, [2, 0, 1, 1, 3])
 
+    @pytest.mark.parametrize("bad", [[0.5, 1], ["1", "2"], [None]])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            reeds_sloane,
+            minimal_connection,
+            brute_force_minimal,
+            lambda bad: verify_connection(bad, [1]),
+            lambda bad: verify_connection([1, 2], bad),
+        ],
+        ids=["reeds_sloane", "minimal", "brute", "period", "connection"],
+    )
+    def test_refuses_values_that_are_not_integers(self, route, bad):
+        # a float is not truncated, nor a digit string parsed
+        with pytest.raises(ValueError, match="not a period of integers"):
+            route(bad)
+
     def test_agrees_with_polynomial_route(self):
         rng = random.Random(2024)
         for _ in range(150):
             n = rng.randrange(2, 12)
             values = [rng.randrange(4) for _ in range(n)]
             coeffs = [1] + [rng.randrange(4) for _ in range(rng.randrange(0, n))]
-            product = RingPolynomial.from_ints(Z4, values) * RingPolynomial.from_ints(Z4, coeffs)
-            assert verify_connection(values, coeffs) == product.mod_cyclic(n).is_zero
+            product = oracles.z4_cyclic_product(values, coeffs, n)
+            assert verify_connection(values, coeffs) == (product == bytes(n))
 
     @pytest.mark.parametrize("n", [28, 29, 30, 31, 57])
     def test_full_slots(self, n):

@@ -78,23 +78,6 @@ class TestMultiplication:
         assert prod == zp(1) and prod.degree == 0
 
 
-class TestCyclicReduction:
-    def test_xn_wraps_to_one(self):
-        assert RingPolynomial.monomial(Z4, 6).mod_cyclic(6) == zp(1)
-
-    def test_annihilating_fold(self):
-        p = zp(*([1] + [0] * 9 + [3]))
-        assert p.mod_cyclic(10).is_zero
-
-    def test_like_terms_collect(self):
-        p = zp(0, 1, 0, 0, 0, 0, 0, 1)  # X + X^7
-        assert p.mod_cyclic(6) == zp(0, 2)
-
-    def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            zp(1).mod_cyclic(0)
-
-
 class TestDivision:
     def test_unit_quadratic(self):
         q, r = divmod(zp(3, 0, 1), zp(1, 1))
@@ -162,15 +145,6 @@ class TestRingAxioms:
             assert d * q + r == a
             assert r.degree < d.degree
             done += 1
-
-    def test_cyclic_reduction_is_multiplicative(self):
-        rng = random.Random(999)
-        for _ in range(200):
-            a, b = random_poly(rng, 9), random_poly(rng, 9)
-            n = rng.randrange(1, 7)
-            lhs = (a * b).mod_cyclic(n)
-            rhs = (a.mod_cyclic(n) * b.mod_cyclic(n)).mod_cyclic(n)
-            assert lhs == rhs
 
     def test_unit_leading_times_nonzero_is_nonzero(self):
         rng = random.Random(777)

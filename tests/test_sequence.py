@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -67,11 +66,8 @@ class TestGeneration:
             QuaternarySequence(p=7, values=tuple(float(v) for v in GOLDEN[7]))
 
     def test_matches_the_euler_criterion_oracle(self):
-        # the period from the class codes, and filled from the class sets
         for p in odd_primes(3, 2000):
-            want = oracles.period_by_euler(p)
-            assert generate_sequence(p).values == want, p
-            assert generate_sequence(p, build_classes(p)).values == want, p
+            assert generate_sequence(p).values == oracles.period_by_euler(p), p
 
     def test_builds_no_class_sets(self, monkeypatch):
         def refuse(p):
@@ -93,18 +89,6 @@ class TestGeneration:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-
-    @pytest.mark.parametrize("p", [5, 7, 13, 17])
-    def test_follows_replaced_classes(self, p):
-        c = build_classes(p)
-        swapped = dataclasses.replace(c, d0=c.d1, d1=c.d0, e0=c.e1, e1=c.e0)
-        values = generate_sequence(p, swapped).values
-        assert {values[u] for u in c.d0} == {1}
-        assert {values[u] for u in c.e0} == {3}
-
-    def test_classes_argument_must_match(self):
-        with pytest.raises(ValueError):
-            generate_sequence(5, classes=build_classes(3))
 
 
 class TestGeneratingPolynomial:
@@ -154,7 +138,7 @@ class TestClassSums:
         assembled = (
             RingPolynomial.monomial(Z4, p, Z4.embed(2)) + s1 + two * t0 + three * t1
         )
-        assert assembled == generating_polynomial(generate_sequence(p, c))
+        assert assembled == generating_polynomial(generate_sequence(p))
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_evaluation_identities_at_gamma(self, p):

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -406,22 +407,49 @@ class TestFullReport:
             full_report(7, only=set())
 
     def test_filtered_report(self):
-        report = full_report(7, only={"lemma6", "lemma7"})
-        assert [c.check_id for c in report.checks] == ["lemma6", "lemma7"]
+        # any iterable of names, in any order and with repeats, gives the
+        # checks in report order
+        names = ("lemma7", "lemma6", "lemma7")
+        for only in (set(names), list(names), names, (name for name in names)):
+            report = full_report(7, only=only)
+            assert [c.check_id for c in report.checks] == ["lemma6", "lemma7"]
 
     @pytest.mark.parametrize("only", [{"lemma3", "lemma5"}, {"theorem"}])
     @pytest.mark.parametrize("p", (7, 4003))
     def test_checks_that_read_no_ring_build_none(self, p, only, monkeypatch):
         # p = 4003 (r = 4002): the ring, gamma and its class sums take
-        # about 0.3 s there, the classes and the synthesis milliseconds
+        # about 0.3 s there, the classes and the synthesis milliseconds;
+        # the theorem reads the period from the class codes, no class set
         def refuse(*args):
-            raise AssertionError("the ring or gamma was built")
+            raise AssertionError("built what the checks do not read")
 
         monkeypatch.setattr(verify, "construct_ring", refuse)
         monkeypatch.setattr(verify, "find_gamma", refuse)
+        if only == {"theorem"}:
+            monkeypatch.setattr(verify, "build_classes", refuse)
         report = full_report(p, only=only)
         assert [c.check_id for c in report.checks] == sorted(only)
         assert all(c.status is CheckStatus.PASS for c in report.checks)
+
+    def test_each_check_runs_once_and_only_when_asked_for(self, monkeypatch):
+        # the report must call each check by its module-level name, so that
+        # a wrapper set on the module sees every call
+        calls = Counter()
+        names = [name for name in vars(verify) if name.startswith("check_")]
+        for name in names:
+            def counting(*args, name=name, real=getattr(verify, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(verify, name, counting)
+        assert full_report(17).ok
+        assert calls == dict.fromkeys(names, 1) and len(names) == 9
+        calls.clear()
+        full_report(17, only={"factorization", "lemma9"})
+        assert calls == {"check_factorizations": 1}
+        calls.clear()
+        full_report(17, only={"lemma6"})
+        assert calls == {"check_lemma6": 1}
 
     def test_a_ring_check_builds_the_ring_once(self, monkeypatch):
         built = []
@@ -492,7 +520,7 @@ def test_full_report_every_prime_below_500():
 def test_full_report_at_the_frontier_p_1019():
     # r = 1018: the ordered irreducible search finds X^1018 + 0x6f5
     report = full_report(1019)
-    assert [c.check_id for c in report.checks] == list(verify._CHECK_ORDER)
+    assert [c.check_id for c in report.checks] == list(verify._CHECKS)
     for check in report.checks:
         # factorization and lemma9 are past the expansion cap
         skipped = check.check_id in ("factorization", "lemma9")
@@ -505,7 +533,7 @@ def test_full_report_at_the_frontier_p_1019():
 def test_full_report_near_2000_one_prime_per_class(p):
     # p = 13, 3, 9, 15, 1, 7 (mod 16), r = 644, 286, 239, 333, 336, 1019
     report = full_report(p)
-    assert [c.check_id for c in report.checks] == list(verify._CHECK_ORDER)
+    assert [c.check_id for c in report.checks] == list(verify._CHECKS)
     for check in report.checks:
         skipped = check.check_id in ("factorization", "lemma9")
         want = CheckStatus.SKIP if skipped else CheckStatus.PASS
