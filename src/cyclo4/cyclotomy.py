@@ -9,10 +9,10 @@ even residues other than 0.
 
 ``class_labels`` walks the powers of g once, writing the code of each
 odd residue into a 2p-byte array, and the doubles take E0, E1 from those
-codes by one byte translation. The period is read from that array by
-one byte translation, with no set built; ``build_classes`` makes the
-four frozensets from it, and they are the only stored record of the
-classes: everything that asks which class a residue is in reads them.
+codes by one byte translation. That array is the one record of the
+classes: the period is one byte translation of it, ``verify`` reads the
+class relations off it by slices, rotations and translations, and the
+four sets are built from it only where read (``classes``, the library).
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from .primes import factorize, require_odd_prime
 
 # class codes of ``class_labels``: D0, D1, E0, E1, then the residues 0 and p
 D0, D1, E0, E1, ZERO, HALF = range(6)
+CLASS_NAMES = ("D0", "D1", "E0", "E1")
 _UNLABELLED = 255
 
 # the code of an odd residue -> the code of its double: D0 -> E0, D1 -> E1
 _DOUBLE = bytes.maketrans(bytes((D0, D1)), bytes((E0, E1)))
-# code -> 1 for one class's code, 0 for every other byte
-_IS_CLASS = tuple(bytes(int(b == code) for b in range(256)) for code in (D0, D1, E0, E1))
+# class code -> the table taking that code to 1 and every other byte to 0
+IS_CLASS = tuple(bytes(int(b == code) for b in range(256)) for code in (D0, D1, E0, E1))
 
 
 def _order_is(g: int, modulus: int, target: int, target_factors) -> bool:
@@ -55,31 +56,30 @@ def find_common_primitive_root(p: int) -> int:
 
 @dataclass(frozen=True)
 class GeneralizedCyclotomy:
-    """The four classes D0, D1, E0, E1 partitioning Z_2p with {0, p}."""
+    """The classes D0, D1, E0, E1 mod 2p as ``labels``, the code of each residue."""
 
     p: int
     g: int
-    d0: frozenset[int]
-    d1: frozenset[int]
-    e0: frozenset[int]
-    e1: frozenset[int]
+    labels: bytes
+
+    def members(self, code: int) -> frozenset[int]:
+        """The residues whose class code is ``code``, built on each call."""
+        return frozenset(compress(range(2 * self.p), self.labels.translate(IS_CLASS[code])))
+
+    d0, d1, e0, e1 = (property(lambda self, code=code: self.members(code)) for code in range(4))
 
     @property
     def blocks(self) -> dict[str, frozenset[int]]:
         """The classes by name, in the order D0, D1, E0, E1."""
-        return {"D0": self.d0, "D1": self.d1, "E0": self.e0, "E1": self.e1}
-
-    def d_class(self, i: int) -> frozenset[int]:
-        return (self.d0, self.d1)[i % 2]
-
-    def e_class(self, i: int) -> frozenset[int]:
-        return (self.e0, self.e1)[i % 2]
+        return {name: self.members(code) for code, name in enumerate(CLASS_NAMES)}
 
     def cyclotomic_number(self, i: int, j: int) -> int:
-        """Cardinality of (1 + D_i) intersected with E_j, addition mod 2p."""
-        n = 2 * self.p
-        shifted = {(1 + u) % n for u in self.d_class(i)}
-        return len(shifted & self.e_class(j))
+        """Cardinality of (1 + D_i) intersected with E_j, addition mod 2p: the
+        code pairs a << 3 | b of (u, u + 1) counted, all formed by one big-int
+        shift and or of the labels and their rotation by one (codes are < 8)."""
+        labels = self.labels
+        pairs = int.from_bytes(labels, "big") << 3 | int.from_bytes(labels[1:] + labels[:1], "big")
+        return pairs.to_bytes(len(labels), "big").count((D0 + i % 2) << 3 | (E0 + j % 2))
 
 
 def class_labels(p: int) -> tuple[int, bytes]:
@@ -91,9 +91,8 @@ def class_labels(p: int) -> tuple[int, bytes]:
     the powers label every residue other than 0 and p (an odd residue left
     unlabelled leaves its double unlabelled), each class (p - 1)/2 times.
 
-    The array is handed out, not kept: ``GeneralizedCyclotomy`` holds the
-    four sets alone, so classes changed by ``dataclasses.replace`` carry no
-    stale copy of it."""
+    ``build_classes`` keeps the array in a ``GeneralizedCyclotomy``;
+    ``generate_sequence`` translates it into the period."""
     require_odd_prime(p)
     g = find_common_primitive_root(p)
     n = 2 * p
@@ -118,8 +117,4 @@ def class_labels(p: int) -> tuple[int, bytes]:
 
 
 def build_classes(p: int) -> GeneralizedCyclotomy:
-    g, labels = class_labels(p)
-    d0, d1, e0, e1 = (
-        frozenset(compress(range(2 * p), labels.translate(is_class))) for is_class in _IS_CLASS
-    )
-    return GeneralizedCyclotomy(p=p, g=g, d0=d0, d1=d1, e0=e0, e1=e1)
+    return GeneralizedCyclotomy(p, *class_labels(p))

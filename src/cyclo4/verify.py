@@ -24,9 +24,10 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from operator import mul
 
-from .cyclotomy import GeneralizedCyclotomy, build_classes
+from .cyclotomy import CLASS_NAMES, D0, D1, E0, E1, IS_CLASS, GeneralizedCyclotomy, build_classes
 from .galois import GaloisRing, GaloisRingElement, construct_ring, find_gamma
 from .lfsr import reeds_sloane, theorem_lc
 from .primes import require_odd_prime
@@ -148,18 +149,26 @@ def normalize_gamma(
         raise RuntimeError("internal: class sums over D0 and D1 do not add to 1")
     if sums["D0"].is_unit():
         return NormalizedGamma(gamma=gamma, exponent=1, sums=sums)
-    p, blocks = classes.p, classes.blocks
-    v = min(classes.d1)
-    name_of = {block: name for name, block in blocks.items()}
+    labels = classes.labels
+    v = labels.index(D1)
     moved = {}
-    for name, block in blocks.items():
-        image = frozenset(v * u % (2 * p) for u in block)
-        if image not in name_of:
+    for code, name in enumerate(CLASS_NAMES):
+        image = labels[v * labels.index(code) % len(labels)]
+        if image > E1 or _scaled(labels, code, v) != labels.translate(IS_CLASS[image]):
             raise RuntimeError(f"internal: {v}*{name} is not a class")
-        moved[name] = sums[name_of[image]]
+        moved[name] = sums[CLASS_NAMES[image]]
     if not moved["D0"].is_unit():
         raise RuntimeError("internal: neither class sum is a unit")
     return NormalizedGamma(gamma=gamma**v, exponent=v, sums=moved)
+
+
+def _scaled(labels: bytes, code: int, factor: int) -> bytearray:
+    """The indicator of factor*C mod 2p, for the class C coded ``code``."""
+    n = len(labels)
+    image = bytearray(n)
+    for u in compress(range(n), labels.translate(IS_CLASS[code])):
+        image[factor * u % n] = 1
+    return image
 
 
 def _power_sums(ring: GaloisRing) -> list[int]:
@@ -188,23 +197,23 @@ def _class_sums(
     """The sums of gamma**u over D0, D1, E0 and E1 from one trace per coset
     of <q> mod p: q = 2 where omega is None, else q = 4 and the traces go
     down to Z4[omega]. ``normalize_gamma`` has the proof and checks omega."""
-    p, r = classes.p, ring.r
+    p, r, labels = classes.p, ring.r, classes.labels
     n = 2 * p
     m, size = (p + 2, r) if omega is None else (p + 4, r // 2)
     orbits = {}  # class name -> ((-1)**u, least residue mod p) per orbit
-    for name, block in classes.blocks.items():
-        left = set(block)
+    for code, name in enumerate(CLASS_NAMES):
         reps = orbits[name] = []
-        for u in sorted(block):
-            if u not in left:
-                continue
+        # 1 on the members not yet walked; compress reads it as it goes
+        left = bytearray(labels.translate(IS_CLASS[code]))
+        for u in compress(range(n), left):
             orbit, w = [u], m * u % n
             while w != u:
                 orbit.append(w)
                 w = m * w % n
-            if len(orbit) != size or not left.issuperset(orbit):
+            if len(orbit) != size or not all(left[w] for w in orbit):
                 raise RuntimeError(f"internal: {name} is not a union of orbits of u -> {m}u")
-            left.difference_update(orbit)
+            for w in orbit:
+                left[w] = 0
             reps.append((-1 if u % 2 else 1, min(w % p for w in orbit)))
     power_sums = _power_sums(ring)
 
@@ -302,41 +311,39 @@ def check_lemma3(classes: GeneralizedCyclotomy) -> CheckResult:
     of each class, so membership of its values would pass corrupted
     classes.
     """
-    p, g = classes.p, classes.g
+    p, g, labels = classes.p, classes.g, classes.labels
     n = 2 * p
     pm1 = p % 8 in (1, 7)
     problems = []
 
-    walk = []
+    walked = bytearray(n), bytearray(n)  # 1 where reached at an even k, at an odd k
     t = 1
-    for _ in range(p - 1):
-        walk.append(t)
+    for k in range(p - 1):
+        walked[k % 2][t] = 1
         t = t * g % n
+    inside = [labels.translate(table) for table in IS_CLASS]  # 0/1 on D0, D1, E0, E1
     for i in (0, 1):
-        if frozenset(walk[i::2]) != classes.d_class(i):
-            parity = ("even", "odd")[i]
-            problems.append(f"(I) {parity} powers of g = {g} != D{i}")
+        if walked[i] != inside[i]:
+            problems.append(f"(I) {('even', 'odd')[i]} powers of g = {g} != D{i}")
     if t != 1:
         problems.append(f"(I) g^(p-1) != 1 for g = {g}")
     for i in (0, 1):
-        if frozenset(2 * u % n for u in classes.d_class(i)) != classes.e_class(i):
+        if _scaled(labels, D0 + i, 2) != inside[2 + i]:
             problems.append(f"(II) 2*D{i} != E{i}")
         expect = i if pm1 else i + 1
-        if frozenset(2 * u % n for u in classes.e_class(i)) != classes.e_class(expect):
+        if _scaled(labels, E0 + i, 2) != inside[2 + expect % 2]:
             problems.append(f"(II) 2*E{i} != E{expect % 2}")
+    rotated = labels[p:] + labels[:p]  # the code of u + p at u
     for i in (0, 1):
-        shift_e = frozenset((v + p) % n for v in classes.e_class(i))
-        if shift_e != classes.d_class(i if pm1 else i + 1):
+        j = i if pm1 else 1 - i
+        if rotated.translate(IS_CLASS[2 + i]) != inside[j]:
             problems.append(f"(III) E{i}+p mismatch")
-        shift_d = frozenset((v + p) % n for v in classes.d_class(i))
-        if shift_d != classes.e_class(i if pm1 else i + 1):
+        shift_d = rotated.translate(IS_CLASS[i])
+        if shift_d != inside[2 + j]:
             problems.append(f"(IV) D{i}+p mismatch")
-        if pm1:
-            folded = frozenset(u + p for u in classes.d_class(i) if u < p) | frozenset(
-                u - p for u in classes.d_class(i) if u > p
-            )
-            if folded != classes.e_class(i):
-                problems.append(f"(V) E{i} fold mismatch")
+        # the fold takes u below p up by p and u above p down: D_i + p, less p + p
+        if pm1 and b"\0" + shift_d[1:] != inside[2 + i]:
+            problems.append(f"(V) E{i} fold mismatch")
     parts = "I-V" if pm1 else "I-IV (V not applicable)"
     detail = problems[0] if problems else f"class relations {parts} hold"
     return CheckResult("lemma3", CheckStatus.FAIL if problems else CheckStatus.PASS, detail)
@@ -418,7 +425,7 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
     C, s_C times the class sum of T.
     """
     ring, p, classes = ws.ring, ws.p, ws.classes
-    n = 2 * p
+    n, labels = 2 * p, classes.labels
     seq = ws.seq.values
     problems = []
     value = ring.embed(sum(seq))
@@ -428,31 +435,29 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
     if value != ring.embed(2):
         problems.append(f"S(gamma^p) = {value}, want 2")
     g2 = classes.g * classes.g % n
-    blocks = classes.blocks
     if math.gcd(g2, n) != 1:
         problems.append(f"g^2 = {g2} is not a unit mod {n}")
     bad = next((u for u in range(n) if seq[g2 * u % n] != seq[u]), None)
     if bad is not None:
         problems.append(f"s_(g^2 u) != s_u at u = {bad}")
-    for name, block in blocks.items():
-        orbit, t = [], min(block)
-        for _ in range(len(block)):
-            orbit.append(t)
+    least = [labels.index(code) for code in (D0, D1, E0, E1)]
+    for code, (name, t) in enumerate(zip(CLASS_NAMES, least)):
+        # the walk keeps the code of C and does not come back within |C| steps
+        for _ in range(labels.count(code) - 1):
             t = t * g2 % n
-        if frozenset(orbit) != block:
-            problems.append(f"{name} is not the <g^2>-orbit of {min(block)}")
-    covered = sorted(u for block in blocks.values() for u in block)
-    if covered != [u for u in range(n) if u % p]:
+            if t == least[code] or labels[t] != code:
+                problems.append(f"{name} is not the <g^2>-orbit of {least[code]}")
+                break
+    # the residues in no class, their codes left in order, must be 0 and p alone
+    if labels.translate(None, bytes(range(E1 + 1))) != labels[:1] + labels[p : p + 1]:
         problems.append(f"D0, D1, E0, E1 do not partition Z_{n} minus 0 and p")
     if problems:
         # one value per class stands for the class only once the orbits hold
         return CheckResult("lemma8", CheckStatus.FAIL, problems[0])
     s0, sums = ws.normalized.s0, ws.normalized.sums
-    class_name = {u: name for name, block in blocks.items() for u in block}
-    least = [min(block) for block in blocks.values()]
     values = {}
-    for name, v in zip(blocks, least):
-        terms = [sums[class_name[v * m % n]] for m in least for _ in range(seq[m])]
+    for name, v in zip(CLASS_NAMES, least):
+        terms = [sums[CLASS_NAMES[labels[v * m % n]]] for m in least for _ in range(seq[m])]
         values[name] = sum(terms, ring.embed(seq[0] + (-1) ** v * seq[p]))
     if p % 8 in (3, 5):
         two_s0 = s0 + s0
@@ -462,17 +467,17 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
             "E0": ring.embed(3),
             "E1": ring.embed(3),
         }
-        for name, block in blocks.items():
+        for name, v in zip(CLASS_NAMES, least):
             if values[name] != expect[name]:
-                problems.append(f"S(gamma^{min(block)}) != expected on {name}")
+                problems.append(f"S(gamma^{v}) != expected on {name}")
             elif not values[name].is_unit():
-                problems.append(f"S(gamma^{min(block)}) is not a unit on {name}")
+                problems.append(f"S(gamma^{v}) is not a unit on {name}")
         detail_ok = "values match the p = +-3 (mod 8) table and are units"
     else:
-        for name, block in blocks.items():
+        for name, v in zip(CLASS_NAMES, least):
             want = 2 if name == "E1" else 0
             if values[name] != ring.embed(want):
-                problems.append(f"S(gamma^{min(block)}) != {want} on {name}")
+                problems.append(f"S(gamma^{v}) != {want} on {name}")
         detail_ok = "values match the p = +-1 (mod 8) table (0 off E1, 2 on E1)"
     detail = problems[0] if problems else detail_ok
     return CheckResult("lemma8", CheckStatus.FAIL if problems else CheckStatus.PASS, detail)
@@ -481,7 +486,7 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
 def check_factorizations(ws: _Workspace) -> list[CheckResult]:
     """The class-product factorizations of X**p +- 1 and, for p = +-1
     (mod 8), integrality of the products, each proved from premises checked
-    here in O(p) set work and a few ring operations.
+    here in O(p) work on the class labels and a few ring operations.
 
     Let G0, G1, L0 and L1 be the products of X - gamma**v over v in D0, D1,
     E0 and E1. None of them is expanded.
@@ -527,14 +532,14 @@ def check_factorizations(ws: _Workspace) -> list[CheckResult]:
             CheckResult("factorization", CheckStatus.SKIP, note),
             CheckResult("lemma9", CheckStatus.SKIP, note),
         ]
-    ring, classes, gamma = ws.ring, ws.classes, ws.gamma
-    n = 2 * p
-    gamma_p = ws.gamma_p
+    ring, labels, gamma, gamma_p = ws.ring, ws.classes.labels, ws.gamma, ws.gamma_p
 
+    # D0 and D1 must leave p alone of the odd residues, and hold no even one
+    odd, even = labels[1::2], labels[::2]
     problems = []
-    if sorted([*classes.d0, *classes.d1, p]) != list(range(1, n, 2)):
+    if odd.translate(None, bytes((D0, D1))) != labels[p : p + 1] or D0 in even or D1 in even:
         problems.append("D0, D1 and {p} do not partition the odd residues")
-    if sorted([*classes.e0, *classes.e1, 0]) != list(range(0, n, 2)):
+    if even.translate(None, bytes((E0, E1))) != labels[:1] or E0 in odd or E1 in odd:
         problems.append("E0, E1 and {0} do not partition the even residues")
     if gamma_p != ring.embed(3):
         problems.append("gamma^p != -1")
@@ -556,8 +561,8 @@ def check_factorizations(ws: _Workspace) -> list[CheckResult]:
             problems.append("X is not Teichmüller: X -> X^2 is not the Frobenius")
         elif ring.frobenius(gamma) != gamma_p * gamma * gamma:
             problems.append("sigma(gamma) != gamma^(p+2)")
-        for name, block in classes.blocks.items():
-            if frozenset((p + 2) * v % n for v in block) != block:
+        for code, name in enumerate(CLASS_NAMES):
+            if _scaled(labels, code, p + 2) != labels.translate(IS_CLASS[code]):
                 problems.append(f"(p+2)*{name} != {name}")
         nine = CheckResult(
             "lemma9",

@@ -39,7 +39,9 @@ form. The order of 2 mod p is found by doubling until 1 comes back.
 
 from __future__ import annotations
 
-from cyclo4.cyclotomy import GeneralizedCyclotomy, find_common_primitive_root
+import dataclasses
+
+from cyclo4.cyclotomy import E1, HALF, ZERO, GeneralizedCyclotomy, find_common_primitive_root
 from cyclo4.galois import Z4, powers_of
 from cyclo4.ringpoly import RingPolynomial
 
@@ -506,35 +508,42 @@ def lemma3_by_product_sets(classes) -> tuple[bool, str]:
     n = 2 * p
     pm1 = p % 8 in (1, 7)
     problems = []
+    ds, es = (classes.d0, classes.d1), (classes.e0, classes.e1)
+
+    def d_class(i):
+        return ds[i % 2]
+
+    def e_class(i):
+        return es[i % 2]
 
     def mul_set(v, block):
         return frozenset(v * u % n for u in block)
 
     for i in (0, 1):
-        for v in sorted(classes.d_class(i)):
+        for v in sorted(d_class(i)):
             for j in (0, 1):
-                if mul_set(v, classes.d_class(j)) != classes.d_class(i + j):
+                if mul_set(v, d_class(j)) != d_class(i + j):
                     problems.append(f"(I) {v}*D{j} != D{(i + j) % 2}")
-                if mul_set(v, classes.e_class(j)) != classes.e_class(i + j):
+                if mul_set(v, e_class(j)) != e_class(i + j):
                     problems.append(f"(I) {v}*E{j} != E{(i + j) % 2}")
-        for v in sorted(classes.e_class(i)):
+        for v in sorted(e_class(i)):
             for j in (0, 1):
-                if mul_set(v, classes.d_class(j)) != classes.e_class(i + j):
+                if mul_set(v, d_class(j)) != e_class(i + j):
                     problems.append(f"(II) {v}*D{j} != E{(i + j) % 2}")
                 expect = i + j if pm1 else i + j + 1
-                if mul_set(v, classes.e_class(j)) != classes.e_class(expect):
+                if mul_set(v, e_class(j)) != e_class(expect):
                     problems.append(f"(II) {v}*E{j} != E{expect % 2}")
-        shift_e = frozenset((v + p) % n for v in classes.e_class(i))
-        if shift_e != classes.d_class(i if pm1 else i + 1):
+        shift_e = frozenset((v + p) % n for v in e_class(i))
+        if shift_e != d_class(i if pm1 else i + 1):
             problems.append(f"(III) E{i}+p mismatch")
-        shift_d = frozenset((v + p) % n for v in classes.d_class(i))
-        if shift_d != classes.e_class(i if pm1 else i + 1):
+        shift_d = frozenset((v + p) % n for v in d_class(i))
+        if shift_d != e_class(i if pm1 else i + 1):
             problems.append(f"(IV) D{i}+p mismatch")
         if pm1:
-            folded = frozenset(u + p for u in classes.d_class(i) if u < p) | frozenset(
-                u - p for u in classes.d_class(i) if u > p
+            folded = frozenset(u + p for u in d_class(i) if u < p) | frozenset(
+                u - p for u in d_class(i) if u > p
             )
-            if folded != classes.e_class(i):
+            if folded != e_class(i):
                 problems.append(f"(V) E{i} fold mismatch")
     parts = "I-V" if pm1 else "I-IV (V not applicable)"
     return not problems, problems[0] if problems else f"class relations {parts} hold"
@@ -652,9 +661,30 @@ def classes_by_set_walk(p: int) -> GeneralizedCyclotomy:
         raise RuntimeError("class construction does not cover Z_2p")
     if any(len(block) != half for block in blocks):
         raise RuntimeError("class cardinalities are off")
-    return GeneralizedCyclotomy(
-        p=p, g=g, d0=frozenset(d0), d1=frozenset(d1), e0=frozenset(e0), e1=frozenset(e1)
-    )
+    return GeneralizedCyclotomy(p, g, labels_from_sets(p, *blocks))
+
+
+def labels_from_sets(p: int, d0, d1, e0, e1) -> bytes:
+    """The code array of ``cyclotomy.class_labels`` for four class sets mod
+    2p: each set's members take its code, 0 and p keep theirs unless a set
+    takes them, and a residue in no set gets 255. Raises ValueError where
+    two sets share a residue, which one code per residue cannot express."""
+    labels = bytearray([255]) * (2 * p)
+    labels[0], labels[p] = ZERO, HALF
+    for code, block in enumerate((d0, d1, e0, e1)):
+        for u in block:
+            if labels[u] <= E1:
+                raise ValueError(f"{u} is in two classes")
+            labels[u] = code
+    return bytes(labels)
+
+
+def replace_sets(classes, **changes) -> GeneralizedCyclotomy:
+    """``dataclasses.replace`` that also takes the sets d0, d1, e0 and e1:
+    the named ones replace the classes' own, and the four are written into
+    a fresh code array (``labels_from_sets``)."""
+    sets = [changes.pop(name, getattr(classes, name)) for name in ("d0", "d1", "e0", "e1")]
+    return dataclasses.replace(classes, labels=labels_from_sets(classes.p, *sets), **changes)
 
 
 def ord2_by_doubling(p: int) -> int:

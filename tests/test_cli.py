@@ -21,6 +21,11 @@ _VERIFY_DIGESTS_TO_499 = {
     ("--lemmas", "theorem,3,5"): "80e39975634a9f5da7740a353aeb652e7b708be3cfcadb72251baead22173b3e",
 }
 
+# sha256 over p = 3, 5, ..., 499 and both formats of "p format code\n" and
+# the stdout of `classes --p P --format F`, computed when the classes were
+# still stored as four sets
+_CLASSES_DIGEST_TO_499 = "d79f8350b4a2c085e89aa6cde49d724d45c7e42e3cf6cb70653c079f5e8746d3"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -29,6 +34,14 @@ def run(capsys, *argv):
 
 
 class TestClasses:
+    def test_output_to_499_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for p in range(3, 500, 2):
+            for fmt in ("text", "json"):
+                code, out, _ = run(capsys, "classes", "--p", str(p), "--format", fmt)
+                digest.update(f"{p} {fmt} {code}\n{out}".encode())
+        assert digest.hexdigest() == _CLASSES_DIGEST_TO_499
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "classes", "--p", "5", "--format", "json")
         assert code == 0

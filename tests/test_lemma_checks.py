@@ -3,7 +3,8 @@
 expanded class products: agreement on every odd prime, mutants that both
 must reject, and a bound on the ring sums the lemma8 check makes."""
 
-import dataclasses
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -21,6 +22,8 @@ from cyclo4.verify import (
     check_factorizations,
     check_lemma3,
     check_lemma4_lemma8,
+    check_lemma5,
+    normalize_gamma,
 )
 
 
@@ -57,7 +60,7 @@ def _computed(p):
 def _swap(classes, a, b, other="d1", **changes):
     """The classes with a in D0 and b in the class ``other`` trading places."""
     moved = {other: getattr(classes, other) - {b} | {a}}
-    return dataclasses.replace(classes, d0=classes.d0 - {a} | {b}, **moved, **changes)
+    return oracles.replace_sets(classes, d0=classes.d0 - {a} | {b}, **moved, **changes)
 
 
 @pytest.mark.parametrize("p", (5, 7, 13, 17, 29, 31))
@@ -90,11 +93,11 @@ def test_lemma3_rejects_a_short_walk_that_misses_a_swap(p, j):
     b = min(u for u in c.d1 if not coset(u) & on_walk)
     moved = frozenset(u for u in range(1, n, 2) if u % p in coset(a) | coset(b))
     d0, d1 = c.d0 ^ moved, c.d1 ^ moved
-    bad = dataclasses.replace(
+    bad = oracles.replace_sets(
         c, g=g, d0=d0, d1=d1,
         e0=frozenset(2 * u % n for u in d0), e1=frozenset(2 * u % n for u in d1),
     )
-    assert all(t in bad.d_class(k) for k, t in enumerate(walk))
+    assert all(t in (bad.d0, bad.d1)[k % 2] for k, t in enumerate(walk))
     got = check_lemma3(bad)
     assert got.status is CheckStatus.FAIL
     assert got.detail == f"(I) even powers of g = {g} != D0"
@@ -156,6 +159,55 @@ def test_lemma8_rejects_a_class_that_is_not_an_orbit(p):
     assert got.detail == f"D0 is not the <g^2>-orbit of {min(ws.classes.d0)}"
 
 
+def _cyclotomic_number(d, e, n):
+    """|(1 + D) intersected with E| mod n, from the sets."""
+    return len({(1 + u) % n for u in d} & e)
+
+
+def test_every_class_check_answers_a_swap_between_two_classes():
+    # for every pair of classes, their least members trade places, and
+    # apart from that their greatest: 12 swaps a prime, 144 in all. Every
+    # check that reads the classes fails, except that the factorization
+    # needs only the parity of each class, and the cyclotomic numbers may
+    # stay as they were
+    tally = Counter()
+    names = ("d0", "d1", "e0", "e1")
+    for p in (7, 13, 17, 23, 29, 31, 41, 43, 59, 61, 97, 103):
+        ws = _computed(p)
+        c = ws.classes
+        true_counts = [_cyclotomic_number(c.d0, e, 2 * p) for e in (c.e0, c.e1)]
+        for (a, b), end in product(combinations(names, 2), (min, max)):
+            sets = {name: getattr(c, name) for name in names}
+            x, y = end(sets[a]), end(sets[b])
+            sets[a], sets[b] = sets[a] - {x} | {y}, sets[b] - {y} | {x}
+            ws.classes = bad = oracles.replace_sets(c, **sets)
+            assert check_lemma3(bad).status is CheckStatus.FAIL
+            assert check_lemma4_lemma8(ws).status is CheckStatus.FAIL
+            with pytest.raises(RuntimeError, match="is not a union of orbits"):
+                normalize_gamma(ws.ring, bad, ws.raw_gamma)
+            counts = [_cyclotomic_number(sets["d0"], sets[e], 2 * p) for e in ("e0", "e1")]
+            assert [bad.cyclotomic_number(0, j) for j in (0, 1)] == counts
+            got = check_lemma5(bad)
+            assert (got.status is CheckStatus.PASS) is (counts == true_counts)
+            tally["lemma5", got.status] += 1
+            fact, nine = check_factorizations(ws)
+            if p <= DEFAULT_EXPANSION_CAP:
+                across = a[0] != b[0]  # an odd class and an even one
+                assert fact.status is (CheckStatus.FAIL if across else CheckStatus.PASS)
+            tally["factorization", fact.status] += 1
+            assert nine.status is not CheckStatus.PASS
+            tally["lemma9", nine.status] += 1
+    assert tally == {
+        ("lemma5", CheckStatus.FAIL): 99,
+        ("lemma5", CheckStatus.PASS): 45,
+        ("factorization", CheckStatus.FAIL): 80,
+        ("factorization", CheckStatus.PASS): 40,
+        ("factorization", CheckStatus.SKIP): 24,
+        ("lemma9", CheckStatus.FAIL): 60,
+        ("lemma9", CheckStatus.SKIP): 84,
+    }
+
+
 @pytest.mark.parametrize("p", (7, 13, 17, 29))
 def test_lemma8_rejects_broken_classes_before_reading_the_class_sums(p):
     # the class sums come from the classes, so a check that has already
@@ -170,15 +222,30 @@ def test_lemma8_rejects_broken_classes_before_reading_the_class_sums(p):
 
 @pytest.mark.parametrize("p", (7, 13, 17, 29))
 def test_lemma8_rejects_classes_that_do_not_partition(p):
-    # D1 = D0 and E1 = E0 are <g^2>-orbits, but they cover half of Z_2p
-    # twice, so the class sums no longer add up to the values of S
+    # an even residue of E1 relabelled D0: D0 has one member too many for
+    # the <g^2>-orbit of 1, and S at that residue is not D0's value
     ws = _computed(p)
     c = ws.classes
-    ws.classes = dataclasses.replace(c, d1=c.d0, e1=c.e0)
+    x = min(c.e1)
+    ws.classes = oracles.replace_sets(c, d0=c.d0 | {x}, e1=c.e1 - {x})
     got = check_lemma4_lemma8(ws)
     assert got.status is CheckStatus.FAIL
-    assert got.detail == f"D0, D1, E0, E1 do not partition Z_{2 * p} minus 0 and p"
+    assert got.detail == "D0 is not the <g^2>-orbit of 1"
     assert not oracles.lemma8_by_value_table(ws)[0]
+
+
+@pytest.mark.parametrize("p", (7, 13, 17, 29))
+def test_lemma8_rejects_a_residue_left_out_of_every_class(p):
+    # the last residue of D0's walk from 1 taken out: the shorter walk
+    # still stays in D0, so only the partition test is left to reject it
+    ws = _computed(p)
+    c = ws.classes
+    n = 2 * p
+    last = pow(c.g, p - 3, n)  # (g^2)^((p - 1)/2 - 1)
+    ws.classes = oracles.replace_sets(c, d0=c.d0 - {last})
+    got = check_lemma4_lemma8(ws)
+    assert got.status is CheckStatus.FAIL
+    assert got.detail == f"D0, D1, E0, E1 do not partition Z_{n} minus 0 and p"
 
 
 @pytest.mark.parametrize("p", (31, 293))
@@ -309,9 +376,15 @@ def test_factorization_rejects_an_odd_member_swapped_with_an_even_one(p):
 
 @pytest.mark.parametrize("p", (5, 7, 13, 17, 31, 61))
 def test_factorization_rejects_even_classes_that_overlap(p):
+    # one code per residue keeps the classes apart, so the overlaps left
+    # are an even residue taken into D0 and 0 taken into E1
     ws = _computed(p)
     c = ws.classes
-    ws.classes = dataclasses.replace(c, e1=c.e1 | {min(c.e0)})
+    x = min(c.e0)
+    ws.classes = oracles.replace_sets(c, d0=c.d0 | {x}, e0=c.e0 - {x})
+    fact, _ = _statuses_agree(ws)
+    assert fact == (CheckStatus.FAIL, "D0, D1 and {p} do not partition the odd residues")
+    ws.classes = oracles.replace_sets(c, e1=c.e1 | {0})
     fact, _ = _statuses_agree(ws)
     assert fact == (CheckStatus.FAIL, "E0, E1 and {0} do not partition the even residues")
 

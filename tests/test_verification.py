@@ -1,4 +1,5 @@
-import dataclasses
+import hashlib
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -178,7 +179,7 @@ class TestClassSumsAsTraces:
             return frozenset(w if w % 2 else w + p for w in coset)
 
         moved = odd_lifts(min(c.d0)) | odd_lifts(min(c.d1))
-        swapped = dataclasses.replace(c, d0=c.d0 ^ moved, d1=c.d1 ^ moved)
+        swapped = oracles.replace_sets(c, d0=c.d0 ^ moved, d1=c.d1 ^ moved)
         traced, chained = _traced_and_chained(p, swapped)
         assert traced == chained
         assert traced != _traced_and_chained(p)[0]
@@ -197,7 +198,7 @@ class TestClassSumsAsTraces:
         ws = _Workspace(p)
         c = ws.classes
         a, b = max(c.d0), max(c.d1)
-        bad = dataclasses.replace(c, d0=c.d0 - {a} | {b}, d1=c.d1 - {b} | {a})
+        bad = oracles.replace_sets(c, d0=c.d0 - {a} | {b}, d1=c.d1 - {b} | {a})
         with pytest.raises(RuntimeError, match="D0 is not a union of orbits"):
             normalize_gamma(ws.ring, bad, ws.raw_gamma)
 
@@ -451,6 +452,17 @@ class TestFullReport:
         full_report(17, only={"lemma6"})
         assert calls == {"check_lemma6": 1}
 
+    def test_class_checks_hold_no_class_sets(self):
+        # lemma3 and lemma5 read the 2p-byte class codes; while they built
+        # the four class sets and more from them, the peak was 39.7 MB
+        tracemalloc.start()
+        try:
+            assert full_report(104729, only={"lemma3", "lemma5"}).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_a_ring_check_builds_the_ring_once(self, monkeypatch):
         built = []
         real = verify.construct_ring
@@ -501,10 +513,18 @@ class TestFullReport:
         assert all(len(v) >= 2 for v in covered.values())
 
 
+# sha256 over the odd primes p <= 2000 of "p\n" and the rendered
+# full_report(p) with a newline, computed when the classes were still
+# stored as four sets
+_REPORT_DIGEST_TO_2000 = "e75d3d915554909f478310a3d8f037866f306a227e0dfad827bb0472ea0bb693"
+
+
 @pytest.mark.slow
-def test_full_report_every_prime_below_500():
-    for p in odd_primes(3, 499):
+def test_full_report_every_prime_to_2000_pinned():
+    digest = hashlib.sha256()
+    for p in odd_primes(3, 2000):
         report = full_report(p)
+        digest.update(f"{p}\n{report.render()}\n".encode())
         for check in report.checks:
             if check.status is CheckStatus.SKIP:
                 above_cap = p > DEFAULT_EXPANSION_CAP
@@ -514,6 +534,7 @@ def test_full_report_every_prime_below_500():
                 assert check.status is CheckStatus.PASS, (p, check.render())
         theorem = next(c for c in report.checks if c.check_id == "theorem")
         assert theorem.detail == f"lc = {theorem_lc(p)} = closed form"
+    assert digest.hexdigest() == _REPORT_DIGEST_TO_2000
 
 
 @pytest.mark.slow
