@@ -7,20 +7,21 @@ then Rabin's) and the ordered search for the canonical (lexicographically
 smallest) irreducible of each degree; and powers in the residue field
 GF(2)[X]/(h), from which ``galois.find_gamma`` lifts its unit of order p.
 
-Products, quotients and powers take _W bits per step, from tables of
-2**_W multiples or powers. Remainders, gcds and inverses cancel the
-leading term of the higher-degree operand per step, by XOR with the other
-one, shifted: Euclid's quotients are mostly 1-2 bits, and a table of a
-long modulus's multiples did not pay in ``mod``. Each loop carries the
-running degree and reads ``bit_length`` once per step.
+Products, quotients and powers take _W = 4 bits (a hex digit) per step,
+from tables of 16 multiples or powers. Remainders, gcds and inverses
+cancel the leading term of the higher-degree operand per step, by XOR
+with the other one, shifted: Euclid's quotients are mostly 1-2 bits, and
+a table of a long modulus's multiples did not pay in ``mod``. Each loop
+carries the running degree and reads ``bit_length`` once per step.
 
 The ordered search tries X**r + l for the odd l in increasing order. Most
 candidates have a small factor, which the test looks for first: X + 1,
 then its small Ben-Or steps on h folded mod X**(2**i - 1) - 1, with no
 gcd at degree r. Its other steps square by a table spread and shifts at
-the few set bits of h's low part. Between the two, the search alone
-strikes the candidates whose discriminant mod 8 shows them reducible by
-Swan's theorem, from work mod 8 on k x k matrices (k = deg l).
+the few set bits of h's low part. Between the two, the test strikes the
+candidates whose discriminant mod 8 shows them reducible by Swan's
+theorem, from work mod 8 on k x k matrices (k = deg l, where
+(k + 1)**2 <= r).
 """
 
 from __future__ import annotations
@@ -44,13 +45,14 @@ _BEN_OR_STEPS = 8
 # than two squarings (r = 246: 0.8x, 700: 1.0x, 1018: 1.1x, 4002: 1.7x).
 _FOURTH_POWER_BELOW = 640
 
-# Bits per step of mul, quo_rem and powmod: 2 or 4. Best of 7, in ms, on the
-# sweep's operands (p = 503 .. 1000) and find_gamma's at the 8 rings primes,
-# per bit / W = 2 / 4 / 8 (2-vCPU VM): mul 0.88 / 0.32 / 0.20 / 0.45, quo_rem
-# 5.6 / 4.6 / 2.5 / 3.2, powmod 2.87 / 2.06 / 1.98 / 9.9 (its 256 powers).
+# Bits per step of mul, quo_rem and powmod, fixed at 4: ``_digits`` reads
+# hex digits. Best of 7, in ms, on the sweep's operands (p = 503 .. 1000)
+# and find_gamma's at the 8 rings primes, per bit / W = 2 / 4 / 8 (2-vCPU
+# VM): mul 0.88 / 0.32 / 0.20 / 0.45, quo_rem 5.6 / 4.6 / 2.5 / 3.2, powmod
+# 2.87 / 2.06 / 1.98 / 9.9 (its 256 powers).
 _W = 4
-# byte -> its j-th _W-bit field from the top, for ``_digits``
-_FIELDS = [bytes(v >> 8 - _W * (j + 1) & (1 << _W) - 1 for v in range(256)) for j in range(8 // _W)]
+# hex digit character -> its value, for ``_digits``
+_HEX_VALUE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 # byte b -> its low (high) nibble with bit k moved to bit 2k
 _SPREAD_NIBBLE = (0, 1, 4, 5, 16, 17, 20, 21, 64, 65, 68, 69, 80, 81, 84, 85)
@@ -68,13 +70,8 @@ def _set_bits(x: int) -> list[int]:
 
 
 def _digits(x: int, count: int) -> bytearray:
-    """The count lowest base-2**_W digits of x, most significant first."""
-    per = 8 // _W
-    data = (x & (1 << _W * count) - 1).to_bytes(-(-count // per), "big")
-    out = bytearray(len(data) * per)
-    for j, field in enumerate(_FIELDS):
-        out[j::per] = data.translate(field)
-    return out[len(out) - count :]
+    """The count lowest hex digits of x, most significant first."""
+    return bytearray(format(x & (1 << 4 * count) - 1, f"0{count}x"), "ascii").translate(_HEX_VALUE)
 
 
 def _multiples(a: int) -> list[int]:
@@ -319,7 +316,7 @@ def _coprime_folded(h: int, i: int) -> bool:
 
 def is_irreducible(h: int) -> bool:
     """Irreducibility over the two-element field, r = deg h: Ben-Or's
-    test for its first steps, then Rabin's.
+    test for its first steps, Swan's parity test, then Rabin's.
 
     Step i asks whether gcd(X**(2**i) - X, h) = 1. Up to
     i = min(r // 2, floor(log2 r) + _BEN_OR_STEPS) it is Ben-Or's step
@@ -335,34 +332,34 @@ def is_irreducible(h: int) -> bool:
     the rest of the plan is built. For r >= 2, step 1 is the test for the
     factors X (h even) and X + 1 (an even number of terms). The steps with
     2**i <= r follow, on h folded mod X**(2**i - 1) - 1 (see
-    ``_coprime_folded``). Each other step takes gcd(t - X, h) on
-    t = X**(2**i) mod h, which ``_frobenius`` produces, by fourth powers
-    between two steps where it can. For a dense low part (a reciprocal,
-    or a modulus handed to ``GaloisRing``) ``mod`` reduces the squares:
-    the reciprocal of the canonical irreducible tests in about 15 ms at
-    r = 466 and 70 ms at r = 1018, against 1.5 and 5 ms for the canonical
-    one (2-vCPU VM). Folding its dense low part by shifts, or once by a
-    long product before ``mod``, costs about 3x more per square."""
+    ``_coprime_folded``). Then, before any gcd at degree r, the parity
+    test rejects h = X**r + low when its discriminant mod 8
+    (``_discriminant_mod8``) is not Swan's value for an irreducible of
+    degree r: 1 for odd r, 5 for even r. It is exact too. Its cost grows
+    as (deg low)**2 and more, so it runs only where (deg low + 1)**2 <= r,
+    as for every candidate of the search at r = 57 .. 1100: there it costs
+    at most a few gcds at degree r. At r = 466 it took 0.1 s on a
+    product with deg low = 457, against under 1 ms for the whole test.
+
+    Each other step takes gcd(t - X, h) on t = X**(2**i) mod h, which
+    ``_frobenius`` produces, by fourth powers between two steps where it
+    can. For a dense low part (a reciprocal, or a modulus handed to
+    ``GaloisRing``) ``mod`` reduces the squares: the reciprocal of the
+    canonical irreducible tests in about 15 ms at r = 466 and 70 ms at
+    r = 1018, against 1.5 and 5 ms for the canonical one (2-vCPU VM).
+    Folding its dense low part by shifts, or once by a long product before
+    ``mod``, costs about 3x more per square."""
     r = degree(h)
     if r < 2:
         return r == 1
-    return _small_steps(h, r) and _full_steps(h, r)
-
-
-def _small_steps(h: int, r: int) -> bool:
-    """Step 1 and the folded steps of ``is_irreducible`` (r >= 2): whether
-    no factor of degree up to min(r/2, log2 r) divides h, with no gcd at
-    degree r."""
     if not h & 1 or not h.bit_count() & 1:
         return False
     log = r.bit_length() - 1
-    return all(_coprime_folded(h, i) for i in range(2, min(r // 2, log) + 1))
-
-
-def _full_steps(h: int, r: int) -> bool:
-    """The steps of ``is_irreducible`` past ``_small_steps``: the
-    full-size Ben-Or steps, Rabin's steps r/q and the final comparison."""
-    log = r.bit_length() - 1
+    if not all(_coprime_folded(h, i) for i in range(2, min(r // 2, log) + 1)):
+        return False
+    low = h ^ 1 << r
+    if low.bit_length() ** 2 <= r and _discriminant_mod8(r, low) not in (None, 5 - 4 * (r & 1)):
+        return False
     full = set(range(log + 1, min(r // 2, log + _BEN_OR_STEPS) + 1))
     full.update(r // q for q in factorize(r) if r // q > log)
     square, fourth, _ = _frobenius(h)
@@ -488,21 +485,14 @@ def _discriminant_mod8(r: int, low: int) -> int | None:
 @lru_cache(maxsize=None)
 def lex_smallest_irreducible(r: int) -> int:
     """The irreducible of degree r whose coefficients, read high to low
-    as a binary number, are smallest.
-
-    The ordered search tries X**r + l for the odd l in increasing order
-    (X divides the others, for r >= 2) and returns the first one that
-    passes the steps of ``is_irreducible``. Between ``_small_steps`` and
-    the first gcd at degree r or squaring it strikes the candidates whose
-    discriminant mod 8 (``_discriminant_mod8``) is not Swan's value for an
-    irreducible of degree r: 1 for odd r, 5 for even r."""
+    as a binary number, are smallest: X for r = 1, and otherwise the
+    first X**r + l, for the odd l in increasing order (X divides the
+    others), that passes ``is_irreducible``."""
     if r < 1:
         raise ValueError("degree must be positive")
     if r == 1:
         return 2
-    swan = (None, 5 - 4 * (r & 1))
-    for low in range(1, 1 << r, 2):
-        h = (1 << r) | low
-        if _small_steps(h, r) and _discriminant_mod8(r, low) in swan and _full_steps(h, r):
+    for h in range((1 << r) | 1, 2 << r, 2):
+        if is_irreducible(h):
             return h
     raise RuntimeError(f"internal: no irreducible of degree {r} found")

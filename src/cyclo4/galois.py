@@ -388,7 +388,7 @@ def construct_ring(p: int) -> GaloisRing:
     is basic irreducible (:meth:`GaloisRing.x_is_teichmuller`).
     """
     r = ord2_mod_p(p)
-    # lex_smallest_irreducible has tested h once; the lift and the ring trust it
+    # the search has tested h once, by is_irreducible; the lift and the ring trust it
     ring = GaloisRing._of_irreducible(f2.lex_smallest_irreducible(r))
     if not ring.x_is_teichmuller():
         raise RuntimeError("internal: modulus is not a Graeffe lift")

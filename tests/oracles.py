@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 
 from cyclo4.cyclotomy import E1, HALF, ZERO, GeneralizedCyclotomy, find_common_primitive_root
-from cyclo4.galois import Z4, powers_of
+from cyclo4.galois import Z4, GaloisRingElement, powers_of
 from cyclo4.ringpoly import RingPolynomial
 
 
@@ -572,14 +572,18 @@ def period_by_euler(p: int) -> tuple[int, ...]:
 
 def sequence_value(ws, v: int):
     """S(gamma**v) = sum over u of s_u * gamma**(u*v) for the workspace's
-    gamma and period, any v, summed over the 2p-entry power table."""
+    gamma and period, any v, summed over the 2p-entry power table. The
+    terms s_u times a packed power add as ints: a term puts at most 9 in
+    a slot, so every ``chunk`` terms the sum is reduced mod 4 before a
+    slot can carry into the next."""
     n = 2 * ws.p
     ring, powers = ws.ring, powers_of(ws.gamma, n)
-    s1, s2, s3 = (
-        sum((powers[u * v % n] for u, s in enumerate(ws.seq.values) if s == k), ring.zero)
-        for k in (1, 2, 3)
-    )
-    return s1 + s2 + s2 - s3  # s1 + 2*s2 + 3*s3, as 3 = -1
+    terms = [s * powers[u * v % n].packed for u, s in enumerate(ws.seq.values) if s]
+    chunk = ((1 << ring._slot_bits) - 4) // 9
+    total = 0
+    for i in range(0, len(terms), chunk):
+        total = total + sum(terms[i : i + chunk]) & ring._mask
+    return GaloisRingElement(ring, total)
 
 
 def lemma8_by_value_table(ws) -> tuple[bool, str]:

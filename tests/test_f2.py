@@ -426,6 +426,23 @@ def _two_factor_product(r: int, d: int) -> int:
     return f2.mul(f2.lex_smallest_irreducible(d), f2.lex_smallest_irreducible(r - d))
 
 
+def _three_factor_product(r: int, d: int) -> int:
+    """The product of three distinct irreducibles, of degrees d,
+    e = (r - d) // 2 and r - d - e (the reciprocal of the canonical one)."""
+    e = (r - d) // 2
+    third = f2.lex_smallest_irreducible(r - d - e)
+    return f2.mul(
+        f2.mul(f2.lex_smallest_irreducible(d), f2.lex_smallest_irreducible(e)),
+        int(bin(third)[:1:-1], 2),
+    )
+
+
+# floor(log2 r) < d <= floor(log2 r) + 8, the full-size Ben-Or steps
+_PAST_THE_FOLDS = [
+    (r, d) for r in (100, 466) for d in range(r.bit_length(), r.bit_length() + f2._BEN_OR_STEPS)
+]
+
+
 @pytest.mark.parametrize(
     "r, d", [(r, d) for r in (100, 466) for d in range(1, r.bit_length())]
 )
@@ -434,16 +451,48 @@ def test_small_factor_rejected_with_no_gcd_at_degree_r(monkeypatch, r, d):
     assert _plan_trace(monkeypatch, _two_factor_product(r, d)) == (False, 0, 0)
 
 
-@pytest.mark.parametrize(
-    "r, d",
-    [(r, d) for r in (100, 466) for d in range(r.bit_length(), r.bit_length() + f2._BEN_OR_STEPS)],
-)
+@pytest.mark.parametrize("r, d", _PAST_THE_FOLDS)
 def test_factor_past_the_folds_rejected_at_its_own_step(monkeypatch, r, d):
     # floor(log2 r) < d <= floor(log2 r) + 8: the full-size Ben-Or step d
-    # sees the factor, before any squaring past X**(2**d)
-    irreducible, gcds, step = _plan_trace(monkeypatch, _two_factor_product(r, d))
+    # sees the factor, before any squaring past X**(2**d). Three factors
+    # (r - 3 odd) give D = 5 (mod 8), Swan's value for an irreducible of
+    # even r, so the parity test leaves h open whatever its low part.
+    h = _three_factor_product(r, d)
+    assert f2._discriminant_mod8(r, h ^ 1 << r) in (None, 5)
+    irreducible, gcds, step = _plan_trace(monkeypatch, h)
     assert not irreducible
-    assert 1 <= gcds and step <= d
+    assert 1 <= gcds and step == d
+
+
+@pytest.mark.parametrize("r", [100, 466])
+def test_struck_candidates_rejected_with_no_gcd_at_degree_r(monkeypatch, r):
+    # the search's candidates that pass the folded steps and that Swan's
+    # parity shows reducible: the parity test comes before any gcd at
+    # degree r or squaring
+    log, low = r.bit_length() - 1, f2.lex_smallest_irreducible(r) ^ 1 << r
+    struck = [
+        h
+        for h in range(1 << r | 1, 1 << r | low, 2)
+        if h.bit_count() & 1
+        and all(f2._coprime_folded(h, i) for i in range(2, log + 1))
+        and f2._discriminant_mod8(r, h ^ 1 << r) not in (None, 5)
+    ]
+    assert len(struck) >= 6
+    for h in struck:
+        assert _plan_trace(monkeypatch, h) == (False, 0, 0), hex(h)
+
+
+@pytest.mark.parametrize("r, d", _PAST_THE_FOLDS)
+def test_parity_test_skips_a_long_low_part(monkeypatch, r, d):
+    # two factors (r - 2 even) give D = 1 (mod 8), which shows h
+    # reducible, but the parity test costs (deg low)**2 and more (about
+    # 0.1 s at r = 466, deg low = 457); with (deg low + 1)**2 > r it is
+    # skipped, and the gcd at step d rejects h
+    h = _two_factor_product(r, d)
+    assert f2._discriminant_mod8(r, h ^ 1 << r) == 1
+    irreducible, gcds, step = _plan_trace(monkeypatch, h)
+    assert not irreducible
+    assert 1 <= gcds and step == d
 
 
 def test_reciprocals_of_table_entries_accepted():

@@ -3,6 +3,8 @@ import re
 from pathlib import Path
 
 import cyclo4
+from cyclo4 import f2
+from cyclo4.galois import construct_ring
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -42,3 +44,22 @@ def test_perfbench_bindings_resolve(monkeypatch):
             assert callable(getattr(module, attr)), attr
     assert len(workload.CACHED) == 3
     assert all(callable(fn.cache_clear) for fn in workload.CACHED)
+
+
+def test_perfbench_counts_the_search_candidates(monkeypatch):
+    # the ordered search tries X**r + low for low = 1, 3, ..., its answer's
+    # low, each by one is_irreducible call, so the benchmark's
+    # f2.is_irreducible_calls counts its candidates
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    for p, candidates in ((521, 53), (719, 180), (739, 212)):
+        construct_ring.cache_clear()
+        f2.lex_smallest_irreducible.cache_clear()
+        tracer.install()
+        try:
+            ring = construct_ring(p)
+        finally:
+            tracer.uninstall()
+        calls = tracer.take_round().get("f2.is_irreducible", (0, 0.0))[0]
+        low = sum(1 << i for i, c in enumerate(ring.modulus.coeffs[:-1]) if c.value % 2)
+        assert calls == (low + 1) // 2 == candidates, p

@@ -189,30 +189,23 @@ def test_check_gamma_agrees_with_pairwise_scan(p):
 
 
 def test_construct_ring_tests_the_modulus_once(monkeypatch):
-    # the search runs the stages of is_irreducible itself, the last of
-    # them once on the modulus; nothing calls is_irreducible on it again
-    calls, tests = [], []
-    real_full, real_test = f2._full_steps, f2.is_irreducible
-
-    def counting(h, r):
-        calls.append(h)
-        return real_full(h, r)
+    # the search calls is_irreducible once per candidate X**r + low, the
+    # modulus last; construct_ring adds no test of its own
+    tests, real_test = [], f2.is_irreducible
 
     def counting_test(h):
         tests.append(h)
         return real_test(h)
 
-    monkeypatch.setattr(f2, "_full_steps", counting)
     monkeypatch.setattr(f2, "is_irreducible", counting_test)
     try:
         for p in (293, 719):
             construct_ring.cache_clear()
             f2.lex_smallest_irreducible.cache_clear()
-            calls.clear()
             tests.clear()
             ring = construct_ring(p)
             h = sum(1 << i for i, c in enumerate(ring.modulus.coeffs) if c.value % 2)
-            assert calls.count(h) == 1 and h not in tests
+            assert tests == list(range((1 << f2.degree(h)) | 1, h + 1, 2))
             beta, gamma = find_gamma(ring, p)
             assert beta**p == ring.one and gamma**p == ring.embed(3)
     finally:
