@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .cyclotomy import build_classes
 from .lfsr import brute_force_minimal, classify_prime, reeds_sloane, theorem_lc
@@ -150,7 +151,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if mismatches == 0 else EXIT_VERIFY_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    ``main`` may run many times in one process; each call parses into a
+    fresh namespace and never changes the parser, so callers must not
+    change it either.
+    """
     parser = argparse.ArgumentParser(
         prog="cyclo4",
         description="Period-2p quaternary sequences over Z4: generation, "

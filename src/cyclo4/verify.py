@@ -35,7 +35,8 @@ from .sequence import generate_sequence
 
 # factorization and lemma9 are proved in O(p) and need no cap; it remains
 # only because verify's output, and the benchmark's output check with it,
-# pin SKIP above 61. It goes with the benchmark-side step of ROADMAP item 4.
+# pin SKIP above 61. Deleting it is ROADMAP item 5, which also changes that
+# benchmark check.
 DEFAULT_EXPANSION_CAP = 61
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import types
@@ -272,3 +273,54 @@ class TestExitCodes:
         assert main(["nonsense"]) == 1
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestOneParserPerProcess:
+    # main parses with one parser built on the first call, so a process
+    # that calls it many times pays for the build once
+    CALLS = (
+        ("classes", "--p", "5"),
+        ("seq", "--p", "3"),
+        ("lc", "--p", "7"),
+        ("verify", "--p", "7", "--lemmas", "6"),
+        ("sweep", "--from", "3", "--to", "13"),
+        ("lc", "--p", "abc"),
+        ("--help",),
+    )
+
+    def test_at_most_one_parser_is_built(self, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [main(list(argv)) for argv in self.CALLS for _ in range(2)]
+        capsys.readouterr()
+        assert codes == [0] * 10 + [1, 1, 0, 0]
+        # one parser is the top level and its five subcommands
+        assert len(built) <= 6, built
+
+    def test_no_call_leaves_state_for_the_next(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        target = tmp_path / "sweep.csv"
+        calls = [
+            ("verify", "--p", "7", "--lemmas", "6"),
+            ("verify", "--p", "7"),
+            ("lc", "--p", "abc"),
+            ("--help",),
+            ("sweep", "--from", "3", "--to", "13", "--out", str(target)),
+            ("sweep", "--from", "3", "--to", "13"),
+            ("lc", "--p", "7", "--format", "json"),
+            ("lc", "--p", "7"),
+        ]
+        first = {}
+        for argv in calls + calls[::-1] + calls:
+            result = run(capsys, *argv)
+            assert result == first.setdefault(argv, result), argv
+        assert len(first[("verify", "--p", "7")][1].splitlines()) == 10
+        assert first[("sweep", "--from", "3", "--to", "13")][1] == target.read_text()
+        assert first[("lc", "--p", "7")][1].startswith("lc = 4\n")
+        assert first[("lc", "--p", "abc")][0] == 1 and first[("--help",)][0] == 0

@@ -1,9 +1,12 @@
+import argparse
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cyclo4
-from cyclo4 import f2
+from cyclo4 import cli, f2
 from cyclo4.galois import construct_ring
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -63,3 +66,30 @@ def test_perfbench_counts_the_search_candidates(monkeypatch):
         calls = tracer.take_round().get("f2.is_irreducible", (0, 0.0))[0]
         low = sum(1 << i for i, c in enumerate(ring.modulus.coeffs[:-1]) if c.value % 2)
         assert calls == (low + 1) // 2 == candidates, p
+
+
+def test_setup_probe_builds_the_parser_main_parses_with(capsys, monkeypatch):
+    # setup_s times the import and one build_parser() in a fresh
+    # interpreter; that is the one build a command-line process pays only
+    # if main parses with the parser build_parser() returns
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    timed = run.SETUP_PROBE.split("seconds =")[0]
+    assert timed.endswith("build_parser()\n")
+    probe = subprocess.run(
+        [sys.executable, "-c", timed + "print(build_parser().prog)"],
+        cwd=run.ROOT, env=run.pinned_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "cyclo4\n", "")
+
+    parsers = []
+    real_parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(self, *args, **kwargs):
+        parsers.append(self)
+        return real_parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    assert [cli.main(argv) for argv in (["seq", "--p", "3"], ["lc", "--p", "abc"])] == [0, 1]
+    capsys.readouterr()
+    assert parsers == [cli.build_parser()] * 2
