@@ -263,6 +263,8 @@ def powmod(a: int, n: int, h: int) -> int:
     ``_frobenius(h)`` and, for d > 0, one product by a**d mod h from a
     table: shifts at its set bits, then the squares' reduction. For a short
     base, such as ``galois.find_gamma``'s X, that is a shift or a few."""
+    if n < 0:
+        raise ValueError("exponent must be non-negative")
     a = mod(a, h)
     if n == 0:
         return 1
@@ -343,7 +345,7 @@ def is_irreducible(h: int) -> bool:
 
     Each other step takes gcd(t - X, h) on t = X**(2**i) mod h, which
     ``_frobenius`` produces, by fourth powers between two steps where it
-    can. For a dense low part (a reciprocal, or a modulus handed to
+    can. For a dense low part (a reciprocal, or an h handed to
     ``GaloisRing``) ``mod`` reduces the squares: the reciprocal of the
     canonical irreducible tests in about 15 ms at r = 466 and 70 ms at
     r = 1018, against 1.5 and 5 ms for the canonical one (2-vCPU VM).

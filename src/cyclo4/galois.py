@@ -8,8 +8,7 @@ constructed ring, and hence every downstream value, reproducible.
 
 Z4 itself is GR(4, 4), the r = 1 ring of modulus X (the lift of the
 degree-1 irreducible X), so the integers mod 4 and their extensions share
-one element type. :data:`Z4` is that ring; a modulus is a polynomial over
-it, which is why the rings are set up from plain coefficient tuples.
+one element type. :data:`Z4` is that ring, ``GaloisRing(0b10)``.
 
 For an odd prime p with r the order of 2 mod p, the unit group (of order
 2**r * (2**r - 1)) contains elements of order p; ``find_gamma`` lifts one
@@ -20,6 +19,7 @@ gamma = 3*beta, a unit of order 2p satisfying gamma**p = 3 = -1.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import index
 
 from . import f2
 from .primes import factorize, require_odd_prime
@@ -36,7 +36,9 @@ _SLOT_VALUE = {("0", "0"): 0, ("0", "1"): 1, ("1", "0"): 2, ("1", "1"): 3}
 
 
 class GaloisRing:
-    """The ring Z4[X]/(f) for a monic basic irreducible f of degree r.
+    """``GaloisRing(h)`` is Z4[X]/(f) for f the Graeffe lift of h, an int
+    bitmask irreducible of degree r over the two-element field. The
+    packing below serves any monic basic irreducible f (``_setup``).
 
     Elements are packed into single Python ints (Kronecker substitution):
     base-4 coordinate i occupies the B-bit slot starting at bit i*B, with
@@ -56,24 +58,15 @@ class GaloisRing:
     modulus gives one piece, the whole -f_low.
     """
 
-    def __init__(self, modulus: RingPolynomial):
-        if modulus.ring is not Z4:
-            raise ValueError("modulus must be a polynomial over Z4")
-        coeffs = tuple(c.value for c in modulus.coeffs)
-        r = len(coeffs) - 1
-        if r < 1:
-            raise ValueError("modulus must have positive degree")
-        if coeffs[-1] != 1:
-            raise ValueError("modulus must be monic")
-        mod2 = sum(1 << i for i, c in enumerate(coeffs) if c % 2)
-        if not f2.is_irreducible(mod2):
-            raise ValueError("modulus is not basic irreducible (reducible mod 2)")
-        self._setup(coeffs, mod2)
+    def __init__(self, h: int):
+        if not isinstance(h, int) or h < 0 or not f2.is_irreducible(h):
+            raise ValueError("h must be an int bitmask irreducible over the two-element field")
+        self._setup(_graeffe_lift(h), h)
 
     @classmethod
     def _of_irreducible(cls, h: int) -> "GaloisRing":
-        """The ring of the Graeffe lift of h, which the caller has already
-        tested irreducible over the two-element field."""
+        """``GaloisRing(h)`` without the test of h, which the caller has
+        already tested irreducible over the two-element field."""
         ring = cls.__new__(cls)
         ring._setup(_graeffe_lift(h), h)
         return ring
@@ -172,14 +165,19 @@ class GaloisRing:
         return GaloisRingElement(self, int(pad.join(format(bits, "b")), 2))
 
     def element(self, coords) -> "GaloisRingElement":
-        coords = [int(c) % 4 for c in coords]
+        """The element of base-4 coordinates coords, X**0 first, each an
+        integer read as ``embed`` reads it."""
+        coords = [self.embed(c).value for c in coords]
         if len(coords) > self.r:
             raise ValueError("coordinate vector longer than the extension degree")
         return GaloisRingElement(self, _pack(coords, self._slot_bits))
 
     def embed(self, n: int) -> "GaloisRingElement":
-        """Canonical embedding of Z4: the constant with value n mod 4."""
-        return self._constants[int(n) % 4]
+        """Canonical embedding of Z4: the constant n mod 4, n an integer."""
+        try:
+            return self._constants[index(n) % 4]
+        except TypeError as exc:
+            raise ValueError(f"not an integer: {exc}") from None
 
     def __eq__(self, other):
         return self is other or (isinstance(other, GaloisRing) and self._key == other._key)
@@ -349,11 +347,9 @@ def lift_irreducible(h: int) -> RingPolynomial:
     X**(2**r - 1) - 1 in Z4[X], so its roots are units of order dividing
     2**r - 1. One step suffices in characteristic 4.
 
-    The argument is a bitmask (bit i = coefficient of X**i).
+    The argument is a bitmask (bit i = coefficient of X**i), as for GaloisRing.
     """
-    if not f2.is_irreducible(h):
-        raise ValueError("polynomial is reducible over the two-element field")
-    return RingPolynomial.from_ints(Z4, _graeffe_lift(h))
+    return GaloisRing(h).modulus
 
 
 def _graeffe_lift(h: int) -> tuple[int, ...]:
@@ -375,7 +371,7 @@ def _graeffe_lift(h: int) -> tuple[int, ...]:
 
 
 # GR(4, 4): the lift of X is X itself, so its elements are the constants 0..3
-Z4 = GaloisRing._of_irreducible(0b10)
+Z4 = GaloisRing(0b10)
 
 
 @lru_cache(maxsize=None)

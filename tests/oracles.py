@@ -34,15 +34,17 @@ factorization check and Lemma 9 are expanded one linear factor at a time,
 schoolbook, over that power table. The period itself is rebuilt from
 Euler's criterion, without the cyclotomic classes, and the classes as
 sets, by a walk of g that adds each power to a set, with the checks in set
-form. The order of 2 mod p is found by doubling until 1 comes back.
+form. The order of 2 mod p is found by doubling until 1 comes back. A ring of
+a hand-made modulus, which the library does not build, is set up here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from cyclo4 import f2
 from cyclo4.cyclotomy import E1, HALF, ZERO, GeneralizedCyclotomy, find_common_primitive_root
-from cyclo4.galois import Z4, GaloisRingElement, powers_of
+from cyclo4.galois import Z4, GaloisRing, GaloisRingElement, powers_of
 from cyclo4.ringpoly import RingPolynomial
 
 
@@ -451,6 +453,19 @@ def echelon_minimal_connection(values: list[int]) -> tuple[int, list[int]]:
         coeffs.pop()
     assert len(coeffs) - 1 == degree, "witness degree disagrees with the search"
     return degree, coeffs
+
+
+def ring_with_modulus(coeffs) -> GaloisRing:
+    """Z4[X]/(f) for a hand-made f, coefficients in 0..3 constant term
+    first: a ring that ``GaloisRing(h)``, which builds only Graeffe lifts,
+    cannot give, such as one whose X is not Teichmüller. f must be monic
+    and irreducible mod 2."""
+    coeffs = tuple(coeffs)
+    mod2 = sum(1 << i for i, c in enumerate(coeffs) if c % 2)
+    assert coeffs[-1] == 1 and f2.is_irreducible(mod2), coeffs
+    ring = GaloisRing.__new__(GaloisRing)
+    ring._setup(coeffs, mod2)
+    return ring
 
 
 def teichmuller_by_squarings(ring) -> bool:

@@ -264,6 +264,15 @@ def test_powmod_of_x_at_the_field_order(r):
     assert f2.powmod(2, order + 1, h) == 2
 
 
+def test_powmod_refuses_a_negative_exponent():
+    # the windowed digits of n < 0 once gave a wrong element: 53 for 3**-1
+    # modulo the degree-8 irreducible, whose inverse of 3 is 246
+    h = f2.lex_smallest_irreducible(8)
+    assert f2.inverse_mod(3, h) == 246
+    with pytest.raises(ValueError, match="non-negative"):
+        f2.powmod(3, -1, h)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_POLYS.filter(bool), st.integers(1, 9))
 def test_folded_step_matches_full_gcd(h, i):

@@ -1,10 +1,11 @@
 import hashlib
 import random
+import signal
 
 import pytest
 
 import oracles
-from cyclo4 import galois
+from cyclo4 import f2, galois
 from cyclo4.galois import (
     Z4,
     GaloisRing,
@@ -68,8 +69,6 @@ class TestLift:
 
     def test_lift_reduces_back_mod_two(self):
         for r in (2, 3, 4, 5, 8, 11):
-            from cyclo4 import f2
-
             h = f2.lex_smallest_irreducible(r)
             f = lift_irreducible(h)
             back = 0
@@ -99,7 +98,32 @@ class TestConstructRing:
 
     def test_rejects_non_basic_modulus(self):
         with pytest.raises(ValueError):
-            GaloisRing(zp(1, 0, 1))  # X^2 + 1 reduces to (X+1)^2
+            GaloisRing(0b101)  # X^2 + 1 = (X+1)^2
+
+    @pytest.mark.parametrize(
+        "bad", [-(1 << 70) - 3, 7.0, zp(1, 1, 1)], ids=["negative", "float", "polynomial"]
+    )
+    def test_refuses_all_but_a_non_negative_int_at_once(self, bad):
+        # a negative h once hung in f2.gcd and a float raised AttributeError;
+        # the timer turns a hang into a failure
+        def expire(signum, frame):
+            raise TimeoutError("no answer within 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ValueError):
+                GaloisRing(bad)
+            with pytest.raises(ValueError):
+                lift_irreducible(bad)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_builds_the_ring_of_the_lift_of_h(self):
+        for p in (3, 7, 31, 293):
+            h = f2.lex_smallest_irreducible(ord2_mod_p(p))
+            assert GaloisRing(h) == construct_ring(p)
 
     def test_rejects_a_modulus_that_is_not_a_graeffe_lift(self, monkeypatch):
         # X^2 + 3X + 1 reduces to the irreducible X^2 + X + 1 mod 2, but X is
@@ -125,7 +149,7 @@ class TestConstructRing:
         f = [c.value for c in construct_ring(p).modulus.coeffs]
         r = len(f) - 1
         for k in sorted({0, 1, r // 2, r // 2 + 1, r - 1} - {r}):
-            mutant = GaloisRing(zp(*[(c + 2 * (i == k)) % 4 for i, c in enumerate(f)]))
+            mutant = oracles.ring_with_modulus([(c + 2 * (i == k)) % 4 for i, c in enumerate(f)])
             assert not mutant.x_is_teichmuller(), (p, k)
             assert not oracles.teichmuller_by_squarings(mutant), (p, k)
 
@@ -145,6 +169,17 @@ class TestElementArithmetic:
         ring = construct_ring(3)
         assert ring.embed(3) ** 2 == ring.one
         assert ring.embed(3) * ring.embed(3) == ring.embed(9)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.7, "2", None], ids=repr)
+    def test_element_and_embed_refuse_non_integers(self, bad):
+        # int() once truncated a float and parsed a digit string
+        ring = construct_ring(3)
+        with pytest.raises(ValueError):
+            ring.element([bad])
+        with pytest.raises(ValueError):
+            ring.element([1, bad])
+        with pytest.raises(ValueError):
+            ring.embed(bad)
 
     def test_unit_detection(self):
         ring = construct_ring(3)

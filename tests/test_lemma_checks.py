@@ -11,7 +11,7 @@ import pytest
 import oracles
 from cyclo4 import verify
 from cyclo4.cyclotomy import build_classes
-from cyclo4.galois import Z4, GaloisRing, GaloisRingElement, construct_ring, find_gamma
+from cyclo4.galois import GaloisRing, GaloisRingElement, construct_ring, find_gamma
 from cyclo4.primes import odd_primes
 from cyclo4.ringpoly import RingPolynomial
 from cyclo4.sequence import QuaternarySequence
@@ -287,7 +287,7 @@ def test_find_gamma_matches_the_scan_for_every_prime_below_500():
 def test_find_gamma_scans_when_x_is_not_teichmuller():
     # X**2 + 3X + 1 reduces to X**2 + X + 1 mod 2 but is not its Graeffe
     # lift X**2 + X + 1: there X**3 = 3, so X itself is no candidate beta
-    ring = GaloisRing(RingPolynomial.from_ints(Z4, [1, 3, 1]))
+    ring = oracles.ring_with_modulus([1, 3, 1])
     assert ring.x**3 == ring.embed(3)
     beta, _ = find_gamma(ring, 3)
     assert beta == oracles.scan_beta(ring, 3)
@@ -298,7 +298,7 @@ def test_find_gamma_matches_the_scan_in_a_p7_ring_whose_x_is_not_teichmuller():
     # X**3 + 2X**2 + X + 1 reduces to X**3 + X + 1 mod 2, whose Graeffe lift
     # is X**3 + 2X**2 + X + 3, so X**7 != 1 and X**((2**3 - 1)/7) = X is
     # not of order 7
-    ring = GaloisRing(RingPolynomial.from_ints(Z4, [1, 1, 2, 1]))
+    ring = oracles.ring_with_modulus([1, 1, 2, 1])
     assert not ring.x_is_teichmuller() and ring.x**7 != ring.one
     beta, _ = find_gamma(ring, 7)
     assert beta == oracles.scan_beta(ring, 7) != ring.x
@@ -439,7 +439,7 @@ def test_lemma9_proves_nothing_where_x_is_not_teichmuller():
     # products are still integral, but the check cannot show it, and fails
     # rather than pass unproved
     ws = _Workspace(7)
-    ws.ring = GaloisRing(RingPolynomial.from_ints(Z4, [1, 1, 2, 1]))
+    ws.ring = oracles.ring_with_modulus([1, 1, 2, 1])
     ws.gamma = ws.raw_gamma  # find_gamma's on that ring, not normalized
     fact, nine = check_factorizations(ws)
     assert (fact.status, fact.detail) == _expansion_verdicts(ws)[0]

@@ -313,17 +313,25 @@ def test_sequences_take_the_shortcuts_by_residue_class(monkeypatch):
 
 
 def test_import_leaves_numpy_out():
-    # neither the import nor a brute-force search loads numpy
+    # cyclo4 has no third-party runtime dependency: the import and every
+    # command route (brute force included) load only the standard library
     src = str(Path(cyclo4.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import cyclo4; print('numpy' in sys.modules); "
-        "from cyclo4.lfsr import brute_force_minimal; from cyclo4.sequence import generate_sequence; "
-        "print(brute_force_minimal(generate_sequence(5)).lc, 'numpy' in sys.modules)"
-    )
+    code = f"""
+import sys
+bare = set(sys.modules)
+sys.path.insert(0, {src!r})
+import cyclo4
+from cyclo4 import cli
+argvs = (["seq", "--p", "5"], ["lc", "--p", "5", "--method", "brute"], ["verify", "--p", "7"],
+         ["sweep", "--from", "3", "--to", "50"])
+codes = [cli.main(argv) for argv in argvs]
+loaded = {{name.partition(".")[0] for name in set(sys.modules) - bare}}
+print(codes, sorted(loaded - set(sys.stdlib_module_names) - {{"cyclo4"}}))
+"""
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == ["False", "10", "False"]
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 class TestReedsSloane:

@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cyclo4 import f2, galois
-from cyclo4.galois import (
-    Z4,
-    GaloisRing,
-    GaloisRingElement,
-    construct_ring,
-    find_gamma,
-    lift_irreducible,
-    powers_of,
-)
+from cyclo4.galois import GaloisRing, GaloisRingElement, construct_ring, find_gamma, powers_of
 from cyclo4.ringpoly import RingPolynomial
 from cyclo4.verify import CheckStatus, _Workspace, check_factorizations, check_gamma, full_report
 
@@ -31,12 +23,12 @@ def _dense_ring(r: int) -> GaloisRing:
         h for h in range((1 << r) | (1 << (r - 1)) | 1, 1 << (r + 1), 2) if f2.is_irreducible(h)
     )
     coeffs = [1 if (h >> i) & 1 else 2 for i in range(r)] + [1]
-    return GaloisRing(RingPolynomial.from_ints(Z4, coeffs))
+    return oracles.ring_with_modulus(coeffs)
 
 
 RINGS = (
     [construct_ring(p) for p in (3, 5, 7, 31, 293)]
-    + [GaloisRing(RingPolynomial.from_ints(Z4, [c, 1])) for c in range(4)]
+    + [oracles.ring_with_modulus([c, 1]) for c in range(4)]
     + [_dense_ring(12)]
 )
 
@@ -217,7 +209,7 @@ def _reciprocal_lift_ring(r: int) -> GaloisRing:
     """The ring of the Graeffe lift of the reciprocal of the canonical
     irreducible of degree r, whose low part sits near X**r."""
     h = f2.lex_smallest_irreducible(r)
-    return GaloisRing(lift_irreducible(int(bin(h)[2:][::-1], 2)))
+    return GaloisRing(int(bin(h)[2:][::-1], 2))
 
 
 # (ring, number of fold pieces of its modulus)
@@ -446,7 +438,7 @@ def test_frobenius_does_not_square_a_unit_off_the_teichmuller_set(ring):
 
 
 def test_frobenius_refuses_a_ring_whose_x_is_not_teichmuller():
-    ring = GaloisRing(RingPolynomial.from_ints(Z4, [1, 3, 1]))
+    ring = oracles.ring_with_modulus([1, 3, 1])
     assert not ring.x_is_teichmuller()
     with pytest.raises(ValueError, match="not Teichmüller"):
         ring.frobenius(ring.x)
