@@ -30,7 +30,9 @@ EXIT_INTERNAL = 3
 
 BRUTE_FORCE_LIMIT = 7
 
-CSV_HEADER = "p,residue_class,r,lc_theorem,lc_reeds_sloane,match,elapsed_ms"
+# the columns of a sweep row, in CSV order, and the keys of its JSON record
+CSV_FIELDS = ("p", "residue_class", "r", "lc_theorem", "lc_reeds_sloane", "match", "elapsed_ms")
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 def _emit_json(obj) -> str:
@@ -114,17 +116,8 @@ def cmd_sweep(args) -> int:
         lc_rs = reeds_sloane(s).lc
         elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
         lc_thm = theorem_lc(p)
-        records.append(
-            {
-                "p": p,
-                "residue_class": classify_prime(p).value,
-                "r": ord2_mod_p(p),
-                "lc_theorem": lc_thm,
-                "lc_reeds_sloane": lc_rs,
-                "match": lc_thm == lc_rs,
-                "elapsed_ms": elapsed_ms,
-            }
-        )
+        row = p, classify_prime(p).value, ord2_mod_p(p), lc_thm, lc_rs, lc_thm == lc_rs, elapsed_ms
+        records.append(dict(zip(CSV_FIELDS, row)))
     mismatches = sum(1 for rec in records if not rec["match"])
     if args.format == "json":
         payload = _emit_json(
@@ -133,11 +126,8 @@ def cmd_sweep(args) -> int:
     else:
         lines = [CSV_HEADER]
         for rec in records:
-            lines.append(
-                f"{rec['p']},{rec['residue_class']},{rec['r']},{rec['lc_theorem']},"
-                f"{rec['lc_reeds_sloane']},{'true' if rec['match'] else 'false'},"
-                f"{rec['elapsed_ms']}"
-            )
+            cells = [rec[field] for field in CSV_FIELDS]  # a bool reads true or false, as in JSON
+            lines.append(",".join(json.dumps(c) if isinstance(c, bool) else str(c) for c in cells))
         payload = "\n".join(lines) + "\n"
     if args.out:
         try:

@@ -34,11 +34,11 @@ from .primes import factorize
 # Ben-Or's steps taken before the test runs as Rabin's: every step that
 # runs folded (2**i <= r), then this many at full size. A full-size step
 # costs a gcd at degree r but stops a candidate with a small factor before
-# its r squarings. Over 4 .. 12, the searches at r = 244 .. 375 were
-# fastest at 7 or 8, the one at r = 1018 at 10 .. 12 (about 10% faster
-# than at 8); at r = 8000, 20 .. 40 steps in all were alike within the
-# noise (sweep in BENCH_irreducible_search.json, taken while a sieve still
-# struck the candidates with a factor of degree 2 .. 8 before the test).
+# its r squarings. Over 4 .. 12 (best of 5, 2-vCPU VM, Python 3.11.7),
+# the eight searches at r = 244 .. 375 took 28.7 ms in all at 8 and 9,
+# 31-32 ms at 4 .. 6; the one at r = 1018 took 108-115 ms at 10 .. 12
+# against 121 ms at 8, and the one at r = 4002 206-216 ms at 9 .. 12
+# against 235 ms at 8.
 _BEN_OR_STEPS = 8
 
 # Below this degree a fourth power by base-16 digits and folds costs less
@@ -350,7 +350,10 @@ def is_irreducible(h: int) -> bool:
     canonical irreducible tests in about 15 ms at r = 466 and 70 ms at
     r = 1018, against 1.5 and 5 ms for the canonical one (2-vCPU VM).
     Folding its dense low part by shifts, or once by a long product before
-    ``mod``, costs about 3x more per square."""
+    ``mod``, costs about 3x more per square. A negative or non-int h
+    raises ValueError (``gcd`` would loop forever on a negative one)."""
+    if not isinstance(h, int) or h < 0:
+        raise ValueError("h must be a non-negative int bitmask")
     r = degree(h)
     if r < 2:
         return r == 1

@@ -19,7 +19,7 @@ gamma = 3*beta, a unit of order 2p satisfying gamma**p = 3 = -1.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import index
+from operator import index, mul
 
 from . import f2
 from .primes import factorize, require_odd_prime
@@ -59,7 +59,8 @@ class GaloisRing:
     """
 
     def __init__(self, h: int):
-        if not isinstance(h, int) or h < 0 or not f2.is_irreducible(h):
+        # is_irreducible refuses anything but a non-negative int with ValueError
+        if not f2.is_irreducible(h):
             raise ValueError("h must be an int bitmask irreducible over the two-element field")
         self._setup(_graeffe_lift(h), h)
 
@@ -98,6 +99,36 @@ class GaloisRing:
     def modulus(self) -> RingPolynomial:
         """The monic modulus f as a polynomial over :data:`Z4`."""
         return RingPolynomial.from_ints(Z4, self._key[1])
+
+    def trace(self, x: "GaloisRingElement") -> int:
+        """Tr(x) in 0..3, the sum of sigma**k(x) over k < r (:meth:`frobenius`).
+
+        Tr is Z4-linear, so Tr(x) = sum x_i P_i for x = sum x_i X**i, with
+        P_i = Tr(X**i). The sigma**k(X) are roots of f that are distinct mod 2
+        (X mod 2 generates the residue field), so they differ by units and f
+        is the product of Y - sigma**k(X); P_i is the i-th power sum of its
+        roots. Newton's identities hold over any commutative ring: for
+        f = sum c_k X**k, P_0 = r and P_i = -(i c_(r-i) + sum over 0 < j < i
+        of c_(r-j) P_(i-j)), with no division, over the few j with c_(r-j) != 0.
+        """
+        if x.ring != self:
+            raise ValueError("element of a different ring")
+        return sum(map(mul, x.coords, self._power_sums)) % 4
+
+    @cached_property
+    def _power_sums(self) -> list[int]:
+        """P_i = Tr(X**i) in 0..3 for i < r, by Newton's identities (:meth:`trace`)."""
+        r, f = self._key
+        terms = [(j, f[r - j]) for j in range(1, r) if f[r - j]]
+        sums = [r % 4]
+        for i in range(1, r):
+            acc = i * f[r - i]
+            for j, c in terms:
+                if j >= i:
+                    break
+                acc += c * sums[i - j]
+            sums.append(-acc % 4)
+        return sums
 
     def _mul_packed(self, a: int, b: int) -> int:
         return self._reduce(a * b)
@@ -424,12 +455,10 @@ def find_gamma(ring: GaloisRing, p: int) -> tuple[GaloisRingElement, GaloisRingE
         s += 1
     root = ring._lift(c)
     beta = root * root
+    # gamma = -beta and p is odd, so gamma**p = -beta**p = -1 follows from this
     if beta ** p != ring.one:
         raise RuntimeError("internal: beta**p != 1")
-    gamma = -beta  # 3 * beta
-    if gamma ** p != ring.embed(3):
-        raise RuntimeError("internal: gamma**p != -1")
-    return beta, gamma
+    return beta, -beta  # gamma = 3 * beta
 
 
 @lru_cache(maxsize=128)

@@ -25,7 +25,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import mul
 
 from .cyclotomy import CLASS_NAMES, D0, D1, E0, E1, IS_CLASS, GeneralizedCyclotomy, build_classes
 from .galois import GaloisRing, GaloisRingElement, construct_ring, find_gamma
@@ -54,6 +53,13 @@ class CheckResult:
 
     def render(self) -> str:
         return f"{self.check_id} {self.status.value} {self.detail}"
+
+
+def _verdict(check_id: str, problems: list[str], passed: str) -> CheckResult:
+    """FAIL with the first problem found, else PASS with the check's own text."""
+    if problems:
+        return CheckResult(check_id, CheckStatus.FAIL, problems[0])
+    return CheckResult(check_id, CheckStatus.PASS, passed)
 
 
 @dataclass(frozen=True)
@@ -108,14 +114,8 @@ def normalize_gamma(
     gamma**p = -1 (``find_gamma`` makes it so and ``check_gamma`` checks
     it) and on the premises checked here:
 
-    - Traces. Tr(x), the sum of sigma**k(x) over k < r, is Z4-linear, so
-      Tr(x) = sum x_i P_i for x = sum x_i X**i, with P_i = Tr(X**i). The
-      sigma**k(X) are roots of f that are distinct mod 2 (X mod 2 generates
-      the residue field), so they differ by units and f is the product of
-      Y - sigma**k(X); P_i is the i-th power sum of its roots. Newton's
-      identities hold over any commutative ring: for f = sum c_k X**k,
-      P_0 = r and P_i = -(i c_(r-i) + sum over 0 < j < i of c_(r-j) P_(i-j)),
-      with no division, over the few j with c_(r-j) != 0.
+    - Traces. Tr(x), the sum of sigma**k(x) over k < r, is read by
+      :meth:`GaloisRing.trace` from the power sums of the modulus.
     - Orbits. beta = -gamma has beta**p = 1 and p divides 2**r - 1, so beta
       is Teichmüller and sigma(beta) = beta**2 (Wan, Lectures on Finite
       Fields and Galois Rings, 2003). gamma**u = (-1)**u beta**(u mod p),
@@ -172,23 +172,6 @@ def _scaled(labels: bytes, code: int, factor: int) -> bytearray:
     return image
 
 
-def _power_sums(ring: GaloisRing) -> list[int]:
-    """P_i = Tr(X**i) in 0..3 for i < r, by Newton's identities on the
-    nonzero coefficients of the modulus (``normalize_gamma``)."""
-    r = ring.r
-    f = [c.value for c in ring.modulus.coeffs]
-    terms = [(j, f[r - j]) for j in range(1, r) if f[r - j]]
-    sums = [r % 4]
-    for i in range(1, r):
-        acc = i * f[r - i]
-        for j, c in terms:
-            if j >= i:
-                break
-            acc += c * sums[i - j]
-        sums.append(-acc % 4)
-    return sums
-
-
 def _class_sums(
     ring: GaloisRing,
     classes: GeneralizedCyclotomy,
@@ -216,22 +199,17 @@ def _class_sums(
             for w in orbit:
                 left[w] = 0
             reps.append((-1 if u % 2 else 1, min(w % p for w in orbit)))
-    power_sums = _power_sums(ring)
-
-    def trace(x):
-        return sum(map(mul, x.coords, power_sums)) % 4
-
     beta = -gamma
     traces, steps, x, at = {}, {}, None, 0
     for a in sorted({a for reps in orbits.values() for _, a in reps}):
         if a - at not in steps:
             steps[a - at] = beta ** (a - at)
         x = steps[a - at] if x is None else x * steps[a - at]
-        at, t1 = a, trace(x)
+        at, t1 = a, ring.trace(x)
         if omega is None:
             traces[a] = (t1, 0)
         else:
-            t2 = trace(omega * x)
+            t2 = ring.trace(omega * x)
             c0 = 3 * (t1 - t2)
             traces[a] = (c0, -c0 - t2)
     sums = {}
@@ -288,12 +266,10 @@ def check_gamma(ws: _Workspace) -> CheckResult:
         problems.append("normalized class sum is not a unit")
     if not (ws.gamma - ring.one).is_unit():  # where the pairwise scan first fails
         problems.append("gamma^0 - gamma^1 is not a unit")
-    detail = problems[0] if problems else (
-        f"beta^p=1, gamma^p=-1, gamma^2p=1, distinct powers differ by units"
-        + ("" if not ws.normalized.replaced else
-           f"; gamma normalized via exponent {ws.normalized.exponent}")
-    )
-    return CheckResult("gamma", CheckStatus.FAIL if problems else CheckStatus.PASS, detail)
+    passed = "beta^p=1, gamma^p=-1, gamma^2p=1, distinct powers differ by units"
+    if ws.normalized.replaced:
+        passed += f"; gamma normalized via exponent {ws.normalized.exponent}"
+    return _verdict("gamma", problems, passed)
 
 
 def check_lemma3(classes: GeneralizedCyclotomy) -> CheckResult:
@@ -346,8 +322,7 @@ def check_lemma3(classes: GeneralizedCyclotomy) -> CheckResult:
         if pm1 and b"\0" + shift_d[1:] != inside[2 + i]:
             problems.append(f"(V) E{i} fold mismatch")
     parts = "I-V" if pm1 else "I-IV (V not applicable)"
-    detail = problems[0] if problems else f"class relations {parts} hold"
-    return CheckResult("lemma3", CheckStatus.FAIL if problems else CheckStatus.PASS, detail)
+    return _verdict("lemma3", problems, f"class relations {parts} hold")
 
 
 def check_lemma5(classes: GeneralizedCyclotomy) -> CheckResult:
@@ -357,13 +332,11 @@ def check_lemma5(classes: GeneralizedCyclotomy) -> CheckResult:
     want01 = {1: (p - 1) // 4, 7: (p + 1) // 4, 5: (p - 5) // 4, 3: (p - 3) // 4}[p % 8]
     got00 = classes.cyclotomic_number(0, 0)
     got01 = classes.cyclotomic_number(0, 1)
-    ok = got00 == want00 and got01 == want01
-    detail = (
-        f"[0,0]={got00}, [0,1]={got01} match the p={p % 8} (mod 8) closed forms"
-        if ok
-        else f"[0,0]={got00} (want {want00}), [0,1]={got01} (want {want01})"
-    )
-    return CheckResult("lemma5", CheckStatus.PASS if ok else CheckStatus.FAIL, detail)
+    problems = []
+    if (got00, got01) != (want00, want01):
+        problems.append(f"[0,0]={got00} (want {want00}), [0,1]={got01} (want {want01})")
+    passed = f"[0,0]={got00}, [0,1]={got01} match the p={p % 8} (mod 8) closed forms"
+    return _verdict("lemma5", problems, passed)
 
 
 def check_lemma6(ws: _Workspace) -> CheckResult:
@@ -376,14 +349,9 @@ def check_lemma6(ws: _Workspace) -> CheckResult:
     """
     p = ws.p
     const = (p - 1) // 4 if p % 8 in (1, 5) else -((p + 1) // 4)
-    s0 = ws.normalized.s0
-    ok = s0 * s0 == s0 + ws.ring.embed(const)
-    detail = (
-        f"S0^2 = S0 + {const % 4} holds"
-        if ok
-        else f"S0^2 != S0 + {const % 4} for S0 = {s0}"
-    )
-    return CheckResult("lemma6", CheckStatus.PASS if ok else CheckStatus.FAIL, detail)
+    s0, c = ws.normalized.s0, const % 4
+    problems = [] if s0 * s0 == s0 + ws.ring.embed(c) else [f"S0^2 != S0 + {c} for S0 = {s0}"]
+    return _verdict("lemma6", problems, f"S0^2 = S0 + {c} holds")
 
 
 def check_lemma7(ws: _Workspace) -> CheckResult:
@@ -391,21 +359,17 @@ def check_lemma7(ws: _Workspace) -> CheckResult:
     ring, s0 = ws.ring, ws.normalized.s0
     m16 = ws.p % 16
     three = ring.embed(3)
+    # the wanted value's defining polynomial at S0: zero exactly when S0 has it
     if m16 in (1, 15):
-        ok = s0 == ring.one
-        want = "1"
+        want, residual = "1", s0 - ring.one
     elif m16 in (7, 9):
-        ok = s0 == three
-        want = "3"
-    elif m16 in (5, 11):
-        ok = s0 * s0 + three * s0 + three == ring.zero
-        want = "a root of r^2 + 3r + 3"
+        want, residual = "3", s0 - three
     else:
-        t = s0 - ring.embed(2)
-        ok = t * t + three * t + three == ring.zero
-        want = "2 + a root of r^2 + 3r + 3"
-    detail = f"S0 = {want} for p = {m16} (mod 16)" if ok else f"S0 = {s0}, expected {want}"
-    return CheckResult("lemma7", CheckStatus.PASS if ok else CheckStatus.FAIL, detail)
+        want, t = ("", s0) if m16 in (5, 11) else ("2 + ", s0 - ring.embed(2))
+        want += "a root of r^2 + 3r + 3"
+        residual = t * t + three * t + three
+    problems = [] if residual == ring.zero else [f"S0 = {s0}, expected {want}"]
+    return _verdict("lemma7", problems, f"S0 = {want} for p = {m16} (mod 16)")
 
 
 def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
@@ -452,15 +416,20 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
     # the residues in no class, their codes left in order, must be 0 and p alone
     if labels.translate(None, bytes(range(E1 + 1))) != labels[:1] + labels[p : p + 1]:
         problems.append(f"D0, D1, E0, E1 do not partition Z_{n} minus 0 and p")
+    pm3 = p % 8 in (3, 5)
+    if pm3:
+        passed = "values match the p = +-3 (mod 8) table and are units"
+    else:
+        passed = "values match the p = +-1 (mod 8) table (0 off E1, 2 on E1)"
     if problems:
         # one value per class stands for the class only once the orbits hold
-        return CheckResult("lemma8", CheckStatus.FAIL, problems[0])
+        return _verdict("lemma8", problems, passed)
     s0, sums = ws.normalized.s0, ws.normalized.sums
     values = {}
     for name, v in zip(CLASS_NAMES, least):
         terms = [sums[CLASS_NAMES[labels[v * m % n]]] for m in least for _ in range(seq[m])]
         values[name] = sum(terms, ring.embed(seq[0] + (-1) ** v * seq[p]))
-    if p % 8 in (3, 5):
+    if pm3:
         two_s0 = s0 + s0
         expect = {
             "D0": ring.one - two_s0,
@@ -473,15 +442,12 @@ def check_lemma4_lemma8(ws: _Workspace) -> CheckResult:
                 problems.append(f"S(gamma^{v}) != expected on {name}")
             elif not values[name].is_unit():
                 problems.append(f"S(gamma^{v}) is not a unit on {name}")
-        detail_ok = "values match the p = +-3 (mod 8) table and are units"
     else:
         for name, v in zip(CLASS_NAMES, least):
             want = 2 if name == "E1" else 0
             if values[name] != ring.embed(want):
                 problems.append(f"S(gamma^{v}) != {want} on {name}")
-        detail_ok = "values match the p = +-1 (mod 8) table (0 off E1, 2 on E1)"
-    detail = problems[0] if problems else detail_ok
-    return CheckResult("lemma8", CheckStatus.FAIL if problems else CheckStatus.PASS, detail)
+    return _verdict("lemma8", problems, passed)
 
 
 def check_factorizations(ws: _Workspace) -> list[CheckResult]:
@@ -546,11 +512,7 @@ def check_factorizations(ws: _Workspace) -> list[CheckResult]:
         problems.append("gamma^p != -1")
     if not (gamma - ring.one).is_unit():
         problems.append("gamma - 1 is not a unit")
-    fact = CheckResult(
-        "factorization",
-        CheckStatus.FAIL if problems else CheckStatus.PASS,
-        problems[0] if problems else "(X+1)G0G1 = X^p+1 and (X-1)L0L1 = X^p-1 exactly",
-    )
+    fact = _verdict("factorization", problems, "(X+1)G0G1 = X^p+1 and (X-1)L0L1 = X^p-1 exactly")
 
     if p % 8 in (3, 5):
         nine = CheckResult(
@@ -565,11 +527,7 @@ def check_factorizations(ws: _Workspace) -> list[CheckResult]:
         for code, name in enumerate(CLASS_NAMES):
             if _scaled(labels, code, p + 2) != labels.translate(IS_CLASS[code]):
                 problems.append(f"(p+2)*{name} != {name}")
-        nine = CheckResult(
-            "lemma9",
-            CheckStatus.FAIL if problems else CheckStatus.PASS,
-            problems[0] if problems else "all product coefficients lie in the embedded Z4",
-        )
+        nine = _verdict("lemma9", problems, "all product coefficients lie in the embedded Z4")
     return [fact, nine]
 
 
@@ -606,17 +564,15 @@ def check_roots_guard(ws: _Workspace) -> CheckResult:
         problems.append("witness is divisible by X^2p - 1, guard violated")
     if rem != [2] + [0] * (p - 1) + [2] + [0] * p:
         problems.append("unexpected remainder under division by X^2p - 1")
-    detail = problems[0] if problems else "vanishes at all gamma^j yet is not divisible"
-    return CheckResult("roots", CheckStatus.FAIL if problems else CheckStatus.PASS, detail)
+    return _verdict("roots", problems, "vanishes at all gamma^j yet is not divisible")
 
 
 def check_theorem(ws: _Workspace) -> CheckResult:
     """Synthesized linear complexity equals the closed form."""
     want = theorem_lc(ws.p)
     got = reeds_sloane(ws.seq).lc
-    ok = got == want
-    detail = f"lc = {got} = closed form" if ok else f"lc = {got}, closed form {want}"
-    return CheckResult("theorem", CheckStatus.PASS if ok else CheckStatus.FAIL, detail)
+    problems = [] if got == want else [f"lc = {got}, closed form {want}"]
+    return _verdict("theorem", problems, f"lc = {got} = closed form")
 
 
 # Every check in report order, as a function of the workspace. Each entry

@@ -731,3 +731,20 @@ def test_zero_modulus_rejected(call):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bad", [-(1 << 70) - 3, 7.0], ids=["negative", "float"])
+def test_is_irreducible_refuses_all_but_a_non_negative_int(bad):
+    # a negative h once looped forever in gcd and a float raised
+    # AttributeError; the alarm turns a hang into a failure
+    def expire(signum, frame):
+        raise TimeoutError("no answer within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        with pytest.raises(ValueError):
+            f2.is_irreducible(bad)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

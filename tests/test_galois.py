@@ -220,6 +220,21 @@ class TestElementArithmetic:
         with pytest.raises(ValueError):
             ring.x.value
 
+    @pytest.mark.parametrize("p", [3, 7, 11, 31, 59, 293])
+    def test_trace_is_the_sum_of_the_frobenius_conjugates(self, p):
+        # Newton's power sums against r Frobenius steps, on X**i for i < 20
+        # and on three random elements
+        ring, rng = construct_ring(p), random.Random(p)
+        basis = [ring.element([0] * i + [1]) for i in range(min(ring.r, 20))]
+        for x in basis + [ring.element([rng.randrange(4) for _ in range(ring.r)]) for _ in "abc"]:
+            conjugates, y = [], x
+            for _ in range(ring.r):
+                conjugates.append(y)
+                y = ring.frobenius(y)
+            assert ring.embed(ring.trace(x)) == sum(conjugates, ring.zero)
+        with pytest.raises(ValueError):
+            ring.trace(construct_ring(5).x)
+
 
 def check_gamma_postconditions(p):
     ring = construct_ring(p)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from collections import Counter
@@ -18,6 +19,7 @@ from cyclo4.galois import (
 from cyclo4.lfsr import theorem_lc
 from cyclo4.primes import odd_primes
 from cyclo4.ringpoly import NonUnitDivisorError, RingPolynomial
+from cyclo4.sequence import QuaternarySequence
 from cyclo4.verify import (
     DEFAULT_EXPANSION_CAP,
     CheckStatus,
@@ -137,14 +139,10 @@ class TestClassSumsAsTraces:
     @pytest.mark.parametrize("p", (5, 7, 11, 13, 17, 23, 29, 31, 41, 43))
     @pytest.mark.parametrize("i", (0, 1))
     def test_a_wrong_power_sum_changes_the_sums(self, p, i, monkeypatch):
-        real = verify._power_sums
-
-        def bumped(ring):
-            sums = real(ring)
-            sums[i] = (sums[i] + 1) % 4
-            return sums
-
-        monkeypatch.setattr(verify, "_power_sums", bumped)
+        ring = construct_ring(p)
+        bumped = list(ring._power_sums)
+        bumped[i] = (bumped[i] + 1) % 4
+        monkeypatch.setattr(ring, "_power_sums", bumped)
         traced, chained = _traced_and_chained(p)
         assert traced != chained
 
@@ -200,6 +198,70 @@ class TestClassSumsAsTraces:
         bad = oracles.replace_sets(c, d0=c.d0 - {a} | {b}, d1=c.d1 - {b} | {a})
         with pytest.raises(RuntimeError, match="D0 is not a union of orbits"):
             normalize_gamma(ws.ring, bad, ws.raw_gamma)
+
+
+def _flipped(seq, u):
+    """The period with s_u raised by one mod 4."""
+    values = list(seq.values)
+    values[u] = (values[u] + 1) % 4
+    return QuaternarySequence(seq.p, tuple(values))
+
+
+def _swapped(ws, a, b):
+    """The workspace's classes with the sets named a and b traded."""
+    c = ws.classes
+    return oracles.replace_sets(c, **{a: getattr(c, b), b: getattr(c, a)})
+
+
+def _with_sum(ws, name, value):
+    """The workspace's normalized gamma with the class sum over ``name`` replaced."""
+    return dataclasses.replace(ws.normalized, sums={**ws.normalized.sums, name: value})
+
+
+# (check, p, the workspace fields a mutant overrides, the line it renders)
+FAIL_MUTANTS = [
+    # gamma is not replaced at 3, so the check reads the mutated gamma**p
+    ("gamma", 3, lambda ws: {"gamma_p": ws.ring.one}, "gamma FAIL beta does not have order p"),
+    (
+        "lemma3", 7,
+        lambda ws: {"classes": _swapped(ws, "d0", "d1")},
+        "lemma3 FAIL (I) even powers of g = 3 != D0",
+    ),
+    (
+        "lemma5", 13,
+        lambda ws: {"classes": _swapped(ws, "e0", "e1")},
+        "lemma5 FAIL [0,0]=2 (want 3), [0,1]=3 (want 2)",
+    ),
+    (
+        "lemma6", 5,
+        lambda ws: {"normalized": _with_sum(ws, "D0", ws.ring.x)},
+        "lemma6 FAIL S0^2 != S0 + 1 for S0 = w",
+    ),
+    (
+        "lemma7", 11,
+        lambda ws: {"normalized": _with_sum(ws, "D0", ws.ring.one)},
+        "lemma7 FAIL S0 = 1, expected a root of r^2 + 3r + 3",
+    ),
+    # one lemma8 mutant fails a premise on the period, one the value table
+    ("lemma8", 7, lambda ws: {"seq": _flipped(ws.seq, 1)}, "lemma8 FAIL S(1) = 1, want 0"),
+    (
+        "lemma8", 5,
+        lambda ws: {"normalized": _with_sum(ws, "E0", ws.ring.zero)},
+        "lemma8 FAIL S(gamma^1) != expected on D0",
+    ),
+    (
+        "factorization", 7,
+        lambda ws: {"gamma": -ws.ring.one},
+        "factorization FAIL gamma - 1 is not a unit",
+    ),
+    ("lemma9", 7, lambda ws: {"gamma_p": ws.ring.one}, "lemma9 FAIL sigma(gamma) != gamma^(p+2)"),
+    (
+        "roots", 5,
+        lambda ws: {"gamma_p": ws.ring.embed(2)},
+        "roots FAIL witness does not vanish at gamma^1",
+    ),
+    ("theorem", 7, lambda ws: {"seq": _flipped(ws.seq, 1)}, "theorem FAIL lc = 14, closed form 4"),
+]
 
 
 class TestIndividualChecks:
@@ -290,6 +352,16 @@ class TestIndividualChecks:
         for check in (fact, nine):
             assert check.status is CheckStatus.SKIP
             assert check.detail == "skipped: p > expansion cap 61"
+
+    @pytest.mark.parametrize(
+        "check_id,p,mutate,line", FAIL_MUTANTS, ids=[f"{c}-{p}" for c, p, _, _ in FAIL_MUTANTS]
+    )
+    def test_a_broken_premise_renders_the_first_problem(self, check_id, p, mutate, line):
+        # the fields of a fresh workspace are overridden before any check reads them
+        ws = _Workspace(p)
+        for name, value in mutate(ws).items():
+            setattr(ws, name, value)
+        assert verify._CHECKS[check_id](ws).render() == line
 
 
 # witnesses the guard must reject, with the first problem it names
