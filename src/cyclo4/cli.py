@@ -55,7 +55,7 @@ def cmd_classes(args) -> int:
 def cmd_seq(args) -> int:
     s = generate_sequence(args.p)
     if args.format == "json":
-        sys.stdout.write(_emit_json(list(s.values)))
+        sys.stdout.write(f"[{','.join(s.text())}]\n")  # _emit_json(list(s.values)), no list built
     else:
         print(s.text())
     return EXIT_OK

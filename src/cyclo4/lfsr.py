@@ -98,11 +98,11 @@ def theorem_lc(p: int) -> int:
 
 def _period_values(s) -> bytes:
     """One period (or coefficient vector) as bytes, each value reduced
-    mod 4. Bytes (and a QuaternarySequence) take no Python-level loop; any
-    other iterable, a generator included, is read once, and each of its
-    values must be an integer: a float or a digit string is refused."""
+    mod 4. Bytes (a QuaternarySequence's period is bytes) take no Python
+    loop; any other iterable, a generator included, is read once, and each
+    of its values must be an integer: a float or a digit string is refused."""
     if isinstance(s, QuaternarySequence):
-        s = bytes(s.values)
+        s = s.values
     try:
         values = s.translate(_MOD4) if isinstance(s, bytes) else bytes(index(v) % 4 for v in s)
     except TypeError as exc:
@@ -194,16 +194,16 @@ def verify_connection(s, connection) -> bool:
     return _cyclic_product(values, coeffs, len(values)) == bytes(len(values))
 
 
-def minimal_connection(period) -> tuple[int, list[int]]:
+def minimal_connection(period) -> tuple[int, bytes]:
     """Least-degree cyclic annihilator with unit constant term over Z4.
 
-    Returns ``(degree, coefficients)``, constant term first. Over GF(2)
-    the problem is to find the least D with u, v such that u(0) = 1,
-    v(0) = 0, deg u <= D - deg g, deg v <= D and W*u + S̄*v = 0 mod
-    X**n + 1 (see the module docstring). Substituting X -> 1/X and
-    reversing, U = X**(D - deg g) * u(1/X) and V = X**D * v(1/X), turns
-    each such pair into a vector (U, V) with deg U + deg g = D > deg V of
-    the module
+    Returns ``(degree, coefficients)``, the coefficients as bytes,
+    constant term first. Over GF(2) the problem is to find the least D
+    with u, v such that u(0) = 1, v(0) = 0, deg u <= D - deg g,
+    deg v <= D and W*u + S̄*v = 0 mod X**n + 1 (see the module docstring).
+    Substituting X -> 1/X and reversing, U = X**(D - deg g) * u(1/X) and
+    V = X**D * v(1/X), turns each such pair into a vector (U, V) with
+    deg U + deg g = D > deg V of the module
 
         K = {(U, V) : A*U + B*V = 0 mod X**n + 1},
         A = rev(W) * X**deg g,  B = rev(S̄),
@@ -241,7 +241,7 @@ def minimal_connection(period) -> tuple[int, list[int]]:
     values = _period_values(period)
     n = len(values)
     if not any(values):
-        return 0, [1]
+        return 0, b"\1"
 
     xn1 = (1 << n) | 1
     sbar = _layer(values, 0)
@@ -280,7 +280,7 @@ def minimal_connection(period) -> tuple[int, list[int]]:
     coeffs = packed.to_bytes(degree + 1, "little").translate(_MOD4)
     if not coeffs[-1]:
         raise RuntimeError("internal: witness degree disagrees with the search")
-    return degree, list(coeffs)
+    return degree, coeffs
 
 
 def reeds_sloane(s) -> LfsrResult:
@@ -291,7 +291,7 @@ def reeds_sloane(s) -> LfsrResult:
     """
     values = _period_values(s)
     lc, coeffs = minimal_connection(values)
-    if not verify_connection(values, bytes(coeffs)):
+    if not verify_connection(values, coeffs):
         raise RuntimeError("internal: synthesized connection does not annihilate")
     return LfsrResult(lc=lc, connection=tuple(coeffs))
 

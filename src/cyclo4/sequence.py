@@ -16,31 +16,28 @@ from .primes import require_odd_prime
 
 # class code of ``class_labels`` (D0, D1, E0, E1, then 0 and p) -> value
 _VALUE = bytes((0, 1, 2, 3, 0, 2)).ljust(256, b"\0")
+_DIGIT = bytes.maketrans(b"\0\1\2\3", b"0123")
 
 
 @dataclass(frozen=True)
 class QuaternarySequence:
-    """One period of the quaternary sequence for an odd prime p."""
+    """One period of the quaternary sequence for an odd prime p, one value per byte."""
 
     p: int
-    values: tuple[int, ...]
+    values: bytes
 
     def __post_init__(self):
         require_odd_prime(self.p)
+        if not isinstance(self.values, bytes) or self.values.translate(None, b"\0\1\2\3"):
+            raise ValueError("sequence values must lie in {0, 1, 2, 3}, one per byte")
         if len(self.values) != 2 * self.p:
             raise ValueError("period must have length 2p")
-        try:
-            stray = bytes(self.values).translate(None, b"\x00\x01\x02\x03")
-        except (TypeError, ValueError):  # a float, a string, or an int outside 0 .. 255
-            stray = True
-        if stray:
-            raise ValueError("sequence values must lie in {0, 1, 2, 3}")
         if self.values[0] != 0 or self.values[self.p] != 2:
             raise ValueError("anchors violated: s_0 = 0 and s_p = 2 are forced")
 
     def text(self) -> str:
         """The period as a digit line, e.g. '002231' for p = 3."""
-        return "".join(str(v) for v in self.values)
+        return self.values.translate(_DIGIT).decode()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -48,4 +45,4 @@ class QuaternarySequence:
 
 def generate_sequence(p: int) -> QuaternarySequence:
     _, labels = class_labels(p)
-    return QuaternarySequence(p=p, values=tuple(labels.translate(_VALUE)))
+    return QuaternarySequence(p=p, values=labels.translate(_VALUE))

@@ -531,14 +531,14 @@ def check_factorizations(ws: _Workspace) -> list[CheckResult]:
     return [fact, nine]
 
 
-def _roots_witness(p: int) -> list[int]:
+def _roots_witness(p: int) -> bytes:
     """X**2p + 2X**p + 1 = (X**p + 1)**2 over Z4, constant term first."""
-    return [1] + [0] * (p - 1) + [2] + [0] * (p - 1) + [1]
+    return b"\1" + bytes(p - 1) + b"\2" + bytes(p - 1) + b"\1"
 
 
-def _divide_by_monic(w: list[int], d: list[int]) -> tuple[int, list[int]]:
-    """(q, w - q*d) over Z4 for lists of one length, d monic: q is w's lead."""
-    return w[-1], [(c - w[-1] * e) % 4 for c, e in zip(w, d)]
+def _divide_by_monic(w: bytes, d: bytes) -> tuple[int, bytes]:
+    """(q, w - q*d) over Z4 for vectors of one length, d monic: q is w's lead."""
+    return w[-1], bytes((c - w[-1] * e) % 4 for c, e in zip(w, d))
 
 
 def check_roots_guard(ws: _Workspace) -> CheckResult:
@@ -556,13 +556,13 @@ def check_roots_guard(ws: _Workspace) -> CheckResult:
         if sum((y * y,) * witness[-1] + (y,) * witness[p], ring.embed(witness[0])) != ring.zero:
             problems.append(f"witness does not vanish at gamma^{j}")
             break
-    divisor = [3] + [0] * (2 * p - 1) + [1]  # X**2p - 1
+    divisor = b"\3" + bytes(2 * p - 1) + b"\1"  # X**2p - 1
     quotient, rem = _divide_by_monic(witness, divisor)
-    if [(quotient * d + r) % 4 for d, r in zip(divisor, rem)] != witness:
+    if bytes((quotient * d + r) % 4 for d, r in zip(divisor, rem)) != witness:
         problems.append("quotient * (X^2p - 1) + remainder != witness")
     if not any(rem):
         problems.append("witness is divisible by X^2p - 1, guard violated")
-    if rem != [2] + [0] * (p - 1) + [2] + [0] * p:
+    if rem != b"\2" + bytes(p - 1) + b"\2" + bytes(p):
         problems.append("unexpected remainder under division by X^2p - 1")
     return _verdict("roots", problems, "vanishes at all gamma^j yet is not divisible")
 
@@ -607,6 +607,8 @@ CHECK_TOKENS = {
 def full_report(p: int, only: Iterable[str] | None = None) -> LemmaReport:
     """Run every applicable check for p (or the nonempty ``only`` subset)
     and aggregate."""
+    if isinstance(only, str):
+        raise ValueError(f"check filter {only!r} is a string; pass a collection of check names")
     wanted = set(_CHECKS) if only is None else set(only)
     if not wanted:
         raise ValueError("empty check filter")

@@ -45,6 +45,7 @@ def test_criterion_1_golden_sequences():
     start = time.perf_counter()
     got = {p: generate_sequence(p).values for p in GOLDEN_SEQUENCES}
     elapsed = time.perf_counter() - start
+    got = {p: tuple(values) for p, values in got.items()}
     ok = got == GOLDEN_SEQUENCES and elapsed < 1e-3
     report(1, ok, f"golden sequences p=3,5,7 exact in {elapsed * 1e6:.0f} us (< 1 ms)")
 

@@ -27,6 +27,11 @@ _VERIFY_DIGESTS_TO_499 = {
 # still stored as four sets
 _CLASSES_DIGEST_TO_499 = "d79f8350b4a2c085e89aa6cde49d724d45c7e42e3cf6cb70653c079f5e8746d3"
 
+# sha256 over p = 3, 5, ..., 499 and each argument set of "p args code\n"
+# and the stdout of `seq --p P` (text and json) and `lc --p P --format
+# json`, computed when the period was still a tuple
+_SEQ_LC_DIGEST_TO_499 = "6953f74cad54c7594dc2c672c0efb455182419493a29a1df8628d54a22d55640"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -78,6 +83,15 @@ class TestSeq:
         code, out, _ = run(capsys, "seq", "--p", "7", "--format", "json")
         assert code == 0
         assert json.loads(out) == [0, 0, 2, 1, 2, 1, 3, 2, 2, 0, 3, 0, 3, 1]
+
+
+def test_seq_and_lc_output_to_499_pinned(capsys):
+    digest = hashlib.sha256()
+    for p in range(3, 500, 2):
+        for command, *extra in (["seq"], ["seq", "--format", "json"], ["lc", "--format", "json"]):
+            code, out, _ = run(capsys, command, "--p", str(p), *extra)
+            digest.update(f"{p} {' '.join([command, *extra])} {code}\n{out}".encode())
+    assert digest.hexdigest() == _SEQ_LC_DIGEST_TO_499
 
 
 class TestLc:

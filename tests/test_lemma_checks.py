@@ -131,7 +131,7 @@ def _blind_spot_period(ws) -> QuaternarySequence:
     assert e.degree < p  # and s_p = 2
     bits = [c.value % 2 for c in e.coeffs]
     bits += [0] * (2 * p - len(bits))
-    return QuaternarySequence(p, tuple((s + 2 * b) % 4 for s, b in zip(ws.seq.values, bits)))
+    return QuaternarySequence(p, bytes((s + 2 * b) % 4 for s, b in zip(ws.seq.values, bits)))
 
 
 @pytest.mark.parametrize("p", (31, 73, 127))

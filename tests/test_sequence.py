@@ -22,7 +22,7 @@ GOLDEN = {
 class TestGeneration:
     @pytest.mark.parametrize("p", sorted(GOLDEN))
     def test_golden_periods(self, p):
-        assert generate_sequence(p).values == GOLDEN[p]
+        assert tuple(generate_sequence(p).values) == GOLDEN[p]
 
     def test_text_rendering(self):
         assert generate_sequence(3).text() == "002231"
@@ -44,14 +44,20 @@ class TestGeneration:
             assert counts[3] == (p - 1) // 2
 
     def test_rejects_broken_periods(self):
-        with pytest.raises(ValueError):
-            QuaternarySequence(p=3, values=(0, 0, 2, 2, 3))  # wrong length
-        with pytest.raises(ValueError):
-            QuaternarySequence(p=3, values=(1, 0, 2, 2, 3, 1))  # anchor s_0
-        with pytest.raises(ValueError):
-            QuaternarySequence(p=3, values=(0, 0, 2, 0, 3, 1))  # anchor s_p
-        with pytest.raises(ValueError):
-            QuaternarySequence(p=3, values=(0, 0, 2, 2, 4, 1))  # alphabet
+        with pytest.raises(ValueError, match="length 2p"):
+            QuaternarySequence(p=3, values=bytes((0, 0, 2, 2, 3)))
+        with pytest.raises(ValueError, match="anchors"):
+            QuaternarySequence(p=3, values=bytes((1, 0, 2, 2, 3, 1)))  # s_0
+        with pytest.raises(ValueError, match="anchors"):
+            QuaternarySequence(p=3, values=bytes((0, 0, 2, 0, 3, 1)))  # s_p
+        with pytest.raises(ValueError, match="must lie in"):
+            QuaternarySequence(p=3, values=bytes((0, 0, 2, 2, 4, 1)))
+
+    @pytest.mark.parametrize("kind", [tuple, list, bytearray])
+    def test_rejects_a_period_that_is_not_bytes(self, kind):
+        # the golden period itself, in any other container
+        with pytest.raises(ValueError, match="must lie in"):
+            QuaternarySequence(p=7, values=kind(GOLDEN[7]))
 
     @pytest.mark.parametrize("stray", [0.0, 1.0, 4, -1, 256, "1", None])
     def test_rejects_values_outside_z4(self, stray):
@@ -67,7 +73,7 @@ class TestGeneration:
 
     def test_matches_the_euler_criterion_oracle(self):
         for p in odd_primes(3, 2000):
-            assert generate_sequence(p).values == oracles.period_by_euler(p), p
+            assert tuple(generate_sequence(p).values) == oracles.period_by_euler(p), p
 
     def test_builds_no_class_sets(self, monkeypatch):
         def refuse(p):
@@ -75,20 +81,20 @@ class TestGeneration:
 
         monkeypatch.setattr(cyclotomy, "build_classes", refuse)
         monkeypatch.setattr(cli, "build_classes", refuse)
-        assert generate_sequence(7).values == GOLDEN[7]
+        assert tuple(generate_sequence(7).values) == GOLDEN[7]
         assert cli.main(["lc", "--p", "13", "--format", "json"]) == 0
         assert cli.main(["sweep", "--from", "3", "--to", "60"]) == 0
 
     def test_memory_stays_small_at_large_p(self):
-        # one byte per residue while walking, then the 2p-entry tuple
-        # (1.7 MB of pointers to small ints) at p = 104729
+        # one byte per residue while walking, and the period is the 2p bytes
+        # of one translate: 0.6 MB at p = 104729, 2.2 MB when it was a tuple
         tracemalloc.start()
         try:
             generate_sequence(104729)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2**20
 
 
 class TestGeneratingPolynomial:

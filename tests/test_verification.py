@@ -204,7 +204,7 @@ def _flipped(seq, u):
     """The period with s_u raised by one mod 4."""
     values = list(seq.values)
     values[u] = (values[u] + 1) % 4
-    return QuaternarySequence(seq.p, tuple(values))
+    return QuaternarySequence(seq.p, bytes(values))
 
 
 def _swapped(ws, a, b):
@@ -368,12 +368,12 @@ class TestIndividualChecks:
 WITNESS_MUTANTS = {
     # the 2X**p term dropped: X**2p + 1 is 2 wherever x**2p = 1
     "no-2Xp": (
-        lambda p: [1] + [0] * (2 * p - 1) + [1],
+        lambda p: bytes([1] + [0] * (2 * p - 1) + [1]),
         "witness does not vanish at gamma^0",
     ),
     # X**2p - 1 itself vanishes at every gamma**j, and it divides itself
     "X2p-1": (
-        lambda p: [3] + [0] * (2 * p - 1) + [1],
+        lambda p: bytes([3] + [0] * (2 * p - 1) + [1]),
         "witness is divisible by X^2p - 1, guard violated",
     ),
 }
@@ -429,6 +429,19 @@ class TestRootsGuard:
         assert got.status is CheckStatus.FAIL
         assert got.detail == detail
 
+    def test_guard_holds_no_int_lists(self):
+        # the witness, X^2p - 1 and both remainders are 2p + 1 bytes each;
+        # as int lists the peak was 8.1 MB at p = 104729
+        ws = _Workspace(104729)
+        ws.gamma_p
+        tracemalloc.start()
+        try:
+            assert check_roots_guard(ws).status is CheckStatus.PASS
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_division_refuses_non_unit_leads_rather_than_guessing(self):
         # no code path may divide by 2X - 2 even though 1 and 3 are roots
         two_x_minus_2 = RingPolynomial.from_ints(Z4, [-2, 2])
@@ -477,6 +490,16 @@ class TestFullReport:
         monkeypatch.setattr(verify, "_Workspace", no_workspace)
         with pytest.raises(ValueError, match="empty check filter"):
             full_report(7, only=set())
+
+    @pytest.mark.parametrize("only", ["theorem", "roots", ""])
+    def test_rejects_a_string_filter_before_building_the_ring(self, only, monkeypatch):
+        # a string would be read as a set of its characters
+        def no_workspace(p):
+            raise AssertionError("the workspace was built")
+
+        monkeypatch.setattr(verify, "_Workspace", no_workspace)
+        with pytest.raises(ValueError, match=f"check filter '{only}' is a string"):
+            full_report(17, only=only)
 
     def test_filtered_report(self):
         # any iterable of names, in any order and with repeats, gives the
