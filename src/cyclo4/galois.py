@@ -2,9 +2,12 @@
 
 GR(4**r, 4) is realized as Z4[X]/(f) for a monic degree-r modulus f whose
 reduction mod 2 is irreducible over the two-element field (a basic
-irreducible). The canonical modulus for a given r is the Graeffe lift of
-the lexicographically smallest irreducible of degree r, which makes every
-constructed ring, and hence every downstream value, reproducible.
+irreducible). The canonical modulus for a given r, ``construct_ring``'s, is
+the Graeffe lift of the lexicographically smallest irreducible of degree
+r, which makes every constructed ring, and hence every downstream value,
+reproducible. Where 2 is a primitive root mod p (r = p - 1), the
+cyclotomic polynomial Phi_p is such a lift with no search:
+:class:`CyclotomicRing` is Z4[X]/(Phi_p), and ``verify`` takes it there.
 
 Z4 itself is GR(4, 4), the r = 1 ring of modulus X (the lift of the
 degree-1 irreducible X), so the integers mod 4 and their extensions share
@@ -88,12 +91,19 @@ class GaloisRing:
         # 2r + 1 slots: a product of reduced elements, or c(X**2) (_at_x_squared)
         self._wide_mask = 3 * (((1 << (B * (2 * r + 1))) - 1) // ((1 << B) - 1))
         self._split = B * r
-        neg_low = [(-c) % 4 for c in modulus[:r]]
-        self._fold_pieces = _fold_pieces(neg_low, B)
         self._constants = tuple(GaloisRingElement(self, n) for n in range(4))
         self.zero, self.one = self._constants[0], self._constants[1]
-        self.x = GaloisRingElement(self, neg_low[0] if r == 1 else 1 << B)
-        self._x_teichmuller = not self._at_x_squared(modulus)
+        self.x = GaloisRingElement(self, -modulus[0] % 4 if r == 1 else 1 << B)
+
+    @cached_property
+    def _fold_pieces(self) -> tuple[tuple[int, int], ...]:
+        """The packed -f_low, split as the class docstring describes."""
+        r, modulus = self._key
+        return _fold_pieces([(-c) % 4 for c in modulus[:r]], self._slot_bits)
+
+    @cached_property
+    def _x_teichmuller(self) -> bool:
+        return not self._at_x_squared(self._key[1])
 
     @cached_property
     def modulus(self) -> RingPolynomial:
@@ -148,7 +158,7 @@ class GaloisRing:
         return t
 
     def x_is_teichmuller(self) -> bool:
-        """Whether X**(2**r) = X, checked at set-up as f(X**2) = 0 by one
+        """Whether X**(2**r) = X, checked once as f(X**2) = 0 by one
         reduction.
 
         The coefficient c_k of f goes to slot 2k, and the 2r + 1 slots are
@@ -420,6 +430,86 @@ def construct_ring(p: int) -> GaloisRing:
     if not ring.x_is_teichmuller():
         raise RuntimeError("internal: modulus is not a Graeffe lift")
     return ring
+
+
+class CyclotomicRing(GaloisRing):
+    """``CyclotomicRing(p)`` is GR(4**(p - 1), 4) as Z4[X]/(Phi_p), with
+    Phi_p = 1 + X + ... + X**(p - 1), for an odd prime p of which 2 is a
+    primitive root: it needs no search.
+
+    Every irreducible factor of Phi_p mod 2 has degree ord_p(2), so Phi_p
+    is irreducible mod 2 exactly when r = ord_p(2) = p - 1. Phi_p divides
+    X**p - 1 and so X**(2**r - 1) - 1, which makes it the Graeffe lift of
+    Phi_p mod 2 (the one monic lift dividing it, by Hensel): this is the
+    ring ``GaloisRing((1 << p) - 1)``, built in O(p), and X is Teichmüller
+    of order p. A product, of at most 2p - 1 slots, is reduced through
+    X**p = 1: the slots at p and above are added onto the low ones and
+    masked mod 4, and c Phi_p is taken off, for c the value at X**(p - 1).
+    """
+
+    def __init__(self, p: int):
+        if ord2_mod_p(p) != p - 1:
+            raise ValueError(f"2 is not a primitive root mod {p}: Phi_{p} is reducible mod 2")
+        self.p = p
+        self._setup((1,) * p, (1 << p) - 1)
+        self._cycle = self._split + self._slot_bits  # slot p
+        self._cycle_low = (1 << self._cycle) - 1
+        self._cycle_mask = self._mask | 3 << self._split
+
+    def _reduce(self, t: int) -> int:
+        t = ((t & self._cycle_low) + (t >> self._cycle)) & self._cycle_mask
+        return (t + (4 - (t >> self._split)) * self._odd) & self._mask
+
+    @cached_property
+    def _power_sums(self) -> list[int]:
+        """P_0 = r and P_i = -1 for 0 < i < r: Tr(X**i) is the sum of
+        X**(i a) over the units a mod p, which 2 generates, and the p - 1
+        roots X**a of Phi_p sum to -1."""
+        return [self.r % 4] + [3] * (self.r - 1)
+
+    def beta_and_gamma(self) -> tuple["GaloisRingElement", "GaloisRingElement"]:
+        """``find_gamma(self, p)``, read in closed form where its scan stops
+        at once.
+
+        The scan's beta is T(s**m) for the first s = X, X + 1, ... with
+        s**m != 1, m = (2**r - 1)/p. X mod 2 has order p, so the scan stops
+        at s = X unless p | m, with beta = T(X**m) = X**(m mod p), as X is
+        Teichmüller and X**p = 1. m mod p is the Fermat quotient of 2
+        (``_fermat_quotient``); where it is 0, the scan runs.
+        """
+        k = _fermat_quotient(self.p)
+        if not k:
+            return find_gamma(self, self.p)
+        beta = GaloisRingElement(self, self._reduce(1 << (self._slot_bits * k)))
+        if beta**self.p != self.one:
+            raise RuntimeError("internal: beta**p != 1")
+        return beta, -beta
+
+    def omega(self) -> "GaloisRingElement":
+        """A root of Y**2 + Y + 1 other than 1: lift(eta1 mod 2)**2, for the
+        Gauss period eta1, the sum of X**a over the non-squares a mod p.
+
+        2 is a non-square, so squaring maps eta1 to eta0, the sum over the
+        squares, and eta0 + eta1 = Phi_p - 1 = 1 mod 2. So eta1**2 = eta1 + 1
+        mod 2: eta1 mod 2 has order 3, and the square of its 0/1 lift is its
+        Teichmüller lift squared (as in :func:`find_gamma`), of order 3.
+        """
+        p = self.p
+        digits = bytearray(b"0" * p)  # digit p - 1 - a for X**a
+        a = 2
+        for _ in range(self.r // 2):  # the non-squares are the odd powers of 2
+            digits[p - 1 - a] = ord("1")
+            a = 4 * a % p
+        eta = int(digits, 2)
+        if eta >> self.r:  # X**(p - 1) = 1 + X + ... + X**(p - 2) mod Phi_p and 2
+            eta ^= self._mod2
+        root = self._lift(eta)
+        return root * root
+
+
+def _fermat_quotient(p: int) -> int:
+    """(2**(p - 1) - 1)/p mod p, 0 exactly at the Wieferich primes."""
+    return (pow(2, p - 1, p * p) - 1) // p
 
 
 def find_gamma(ring: GaloisRing, p: int) -> tuple[GaloisRingElement, GaloisRingElement]:

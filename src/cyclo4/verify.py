@@ -27,7 +27,14 @@ from functools import cached_property
 from itertools import compress
 
 from .cyclotomy import CLASS_NAMES, D0, D1, E0, E1, IS_CLASS, GeneralizedCyclotomy, build_classes
-from .galois import GaloisRing, GaloisRingElement, construct_ring, find_gamma
+from .galois import (
+    CyclotomicRing,
+    GaloisRing,
+    GaloisRingElement,
+    construct_ring,
+    find_gamma,
+    ord2_mod_p,
+)
 from .lfsr import reeds_sloane, theorem_lc
 from .primes import require_odd_prime
 from .sequence import generate_sequence
@@ -100,7 +107,10 @@ class NormalizedGamma:
 
 
 def normalize_gamma(
-    ring: GaloisRing, classes: GeneralizedCyclotomy, gamma: GaloisRingElement
+    ring: GaloisRing,
+    classes: GeneralizedCyclotomy,
+    gamma: GaloisRingElement,
+    omega: GaloisRingElement | None = None,
 ) -> NormalizedGamma:
     """Replace gamma by gamma**v, v in D1, if needed to make S0 a unit.
 
@@ -129,8 +139,8 @@ def normalize_gamma(
     - Down to Z4[omega]. For q = 4 (2 is then a non-residue mod p, so r is
       even) it is (-1)**u T(beta**a), with T the sum of sigma**(2k) over
       k < r/2: the trace down to the ring fixed by sigma**2, GR(4**2, 4) =
-      Z4 + Z4 omega. omega = ``find_gamma(ring, 3)[0]`` is checked to be a
-      root of Y**2 + Y + 1, so it is Teichmüller of order 3 and
+      Z4 + Z4 omega. omega, given or else ``find_gamma(ring, 3)[0]``, is
+      checked to be a root of Y**2 + Y + 1, so it is Teichmüller of order 3 and
       sigma(omega) = omega**2 = -1 - omega. T is linear over that ring and
       Tr = T + sigma(T), whose values at 1, omega and omega**2 are 2, -1
       and -1. For T(x) = c0 + c1 omega, t1 = Tr(x) is 2 c0 - c1 and
@@ -140,9 +150,11 @@ def normalize_gamma(
     on the coset of a under <q> in the units mod p: one trace (two for
     q = 4) per coset, read by the orbits of both parities over it.
     """
-    omega = None
-    if classes.p % 8 in (3, 5):
-        omega = find_gamma(ring, 3)[0]
+    if classes.p % 8 in (1, 7):
+        omega = None
+    else:
+        if omega is None:
+            omega = find_gamma(ring, 3)[0]
         if omega * omega + omega + ring.one != ring.zero:
             raise RuntimeError("internal: omega is not a root of Y^2 + Y + 1")
     sums = _class_sums(ring, classes, gamma, omega)
@@ -228,14 +240,29 @@ class _Workspace:
         self.p = p
 
     classes = cached_property(lambda ws: build_classes(ws.p))
-    ring = cached_property(lambda ws: construct_ring(ws.p))
-    _found = cached_property(lambda ws: find_gamma(ws.ring, ws.p))  # (beta, raw gamma)
+    # Z4[X]/(Phi_p) needs no search where 2 is a primitive root mod p, and
+    # gives beta and omega in closed form
+    ring = cached_property(
+        lambda ws: CyclotomicRing(ws.p) if ord2_mod_p(ws.p) == ws.p - 1 else construct_ring(ws.p)
+    )
+    _cyclotomic = property(lambda ws: isinstance(ws.ring, CyclotomicRing))
+    _found = cached_property(  # (beta, raw gamma)
+        lambda ws: ws.ring.beta_and_gamma() if ws._cyclotomic else find_gamma(ws.ring, ws.p)
+    )
     beta = property(lambda ws: ws._found[0])
     raw_gamma = property(lambda ws: ws._found[1])
-    normalized = cached_property(lambda ws: normalize_gamma(ws.ring, ws.classes, ws.raw_gamma))
+    normalized = cached_property(
+        lambda ws: normalize_gamma(
+            ws.ring, ws.classes, ws.raw_gamma, ws.ring.omega() if ws._cyclotomic else None
+        )
+    )
     gamma = cached_property(lambda ws: ws.normalized.gamma)
     seq = cached_property(lambda ws: generate_sequence(ws.p))
-    gamma_p = cached_property(lambda ws: ws.gamma**ws.p)
+    raw_gamma_p = cached_property(lambda ws: ws.raw_gamma**ws.p)
+    # gamma is raw_gamma**v: where v = 1, one power serves both
+    gamma_p = cached_property(
+        lambda ws: ws.raw_gamma_p if ws.gamma is ws.raw_gamma else ws.gamma**ws.p
+    )
     factorizations = cached_property(lambda ws: check_factorizations(ws))
 
 
@@ -249,13 +276,14 @@ def check_gamma(ws: _Workspace) -> CheckResult:
     y**d + 1, nonzero for every such d or for none. gamma**2p = 1 needs
     no product of its own: it follows from gamma**p = -1. Where the raw
     gamma is exactly -beta, beta**p is read as -(raw gamma)**p, as p is
-    odd, so that an unreplaced gamma costs this check no product.
+    odd, so that this check costs no product beyond the power the roots
+    check shares.
     """
     problems = []
-    ring, p = ws.ring, ws.p
-    raw_gamma_p = ws.gamma_p if ws.raw_gamma is ws.gamma else ws.raw_gamma**p
+    ring = ws.ring
+    raw_gamma_p = ws.raw_gamma_p
     opposite = ws.raw_gamma == -ws.beta
-    beta_p = -raw_gamma_p if opposite else ws.beta**p
+    beta_p = -raw_gamma_p if opposite else ws.beta**ws.p
     if beta_p != ring.one or ws.beta == ring.one:
         problems.append("beta does not have order p")
     if raw_gamma_p != ring.embed(3):
@@ -547,12 +575,14 @@ def check_roots_guard(ws: _Workspace) -> CheckResult:
     The witness X**2p + 2X**p + 1 = X**2p - 1 + 2(X**p + 1) has terms at
     X**0, X**p and X**2p only, so at x = gamma**j it is y*y + y + y + 1
     with y = x**p: 1 for even j and gamma**p for odd j, two points for all
-    2p. Divided by the monic X**2p - 1, it leaves the remainder 2X**p + 2.
+    2p. The raw gamma stands for the normalized gamma**v: v is prime to 2p,
+    so both have the same powers. Divided by the monic X**2p - 1, the
+    witness leaves the remainder 2X**p + 2.
     """
     ring, p = ws.ring, ws.p
     witness = _roots_witness(p)
     problems = []
-    for j, y in enumerate((ring.one, ws.gamma_p)):
+    for j, y in enumerate((ring.one, ws.raw_gamma_p)):
         if sum((y * y,) * witness[-1] + (y,) * witness[p], ring.embed(witness[0])) != ring.zero:
             problems.append(f"witness does not vanish at gamma^{j}")
             break

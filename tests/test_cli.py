@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from cyclo4 import cli
+from cyclo4 import cli, f2, verify
 from cyclo4.cli import CSV_HEADER, main
 from cyclo4.sequence import generate_sequence
 
@@ -151,6 +151,39 @@ class TestVerify:
     def test_rejects_a_composite_when_no_check_needs_the_ring(self, capsys):
         code, out, err = run(capsys, "verify", "--p", "9", "--lemmas", "5")
         assert code == 1 and out == "" and "odd prime" in err
+
+    @pytest.mark.parametrize("p", (7, 13, 23, 71))
+    def test_roots_builds_no_classes(self, p, capsys, monkeypatch):
+        # the guard reads the raw gamma**p; gamma is replaced at 7, 23 and 71
+        def refuse(p):
+            raise AssertionError("the classes were built")
+
+        monkeypatch.setattr(verify, "build_classes", refuse)
+        code, out, _ = run(capsys, "verify", "--p", str(p), "--lemmas", "roots")
+        assert (code, out) == (0, "roots PASS vanishes at all gamma^j yet is not divisible\n")
+
+    def test_a_prime_with_2_primitive_needs_no_search_and_no_scan(self, capsys, monkeypatch):
+        # r = 16066 = p - 1: the ring is Z4[X]/(Phi_p), beta and omega are
+        # read in closed form; the lex ring took over a minute here
+        def refuse(*args):
+            raise AssertionError("searched or scanned")
+
+        monkeypatch.setattr(f2, "lex_smallest_irreducible", refuse)
+        monkeypatch.setattr(f2, "powmod", refuse)
+        code, out, _ = run(capsys, "verify", "--p", "16067")
+        assert code == 0
+        assert out.splitlines() == [
+            "gamma PASS beta^p=1, gamma^p=-1, gamma^2p=1, distinct powers differ by units",
+            "lemma3 PASS class relations I-IV (V not applicable) hold",
+            "lemma5 PASS [0,0]=4017, [0,1]=4016 match the p=3 (mod 8) closed forms",
+            "lemma6 PASS S0^2 = S0 + 3 holds",
+            "lemma7 PASS S0 = 2 + a root of r^2 + 3r + 3 for p = 3 (mod 16)",
+            "lemma8 PASS values match the p = +-3 (mod 8) table and are units",
+            "factorization SKIP skipped: p > expansion cap 61",
+            "lemma9 SKIP skipped: p > expansion cap 61",
+            "roots PASS vanishes at all gamma^j yet is not divisible",
+            "theorem PASS lc = 32133 = closed form",
+        ]
 
     def test_skip_reported_for_pm3(self, capsys):
         code, out, _ = run(capsys, "verify", "--p", "5", "--lemmas", "9")

@@ -8,6 +8,7 @@ import oracles
 from cyclo4 import f2, galois
 from cyclo4.galois import (
     Z4,
+    CyclotomicRing,
     GaloisRing,
     construct_ring,
     find_gamma,
@@ -222,18 +223,87 @@ class TestElementArithmetic:
 
     @pytest.mark.parametrize("p", [3, 7, 11, 31, 59, 293])
     def test_trace_is_the_sum_of_the_frobenius_conjugates(self, p):
-        # Newton's power sums against r Frobenius steps, on X**i for i < 20
-        # and on three random elements
-        ring, rng = construct_ring(p), random.Random(p)
-        basis = [ring.element([0] * i + [1]) for i in range(min(ring.r, 20))]
-        for x in basis + [ring.element([rng.randrange(4) for _ in range(ring.r)]) for _ in "abc"]:
-            conjugates, y = [], x
-            for _ in range(ring.r):
-                conjugates.append(y)
-                y = ring.frobenius(y)
-            assert ring.embed(ring.trace(x)) == sum(conjugates, ring.zero)
+        # Newton's power sums against r Frobenius steps
+        assert_trace_is_the_sum_of_the_frobenius_conjugates(construct_ring(p), p)
+
+
+def assert_trace_is_the_sum_of_the_frobenius_conjugates(ring, seed):
+    """Tr against r Frobenius steps, on X**i for i < 20 and on three
+    random elements; an element of another ring is refused."""
+    rng = random.Random(seed)
+    basis = [ring.element([0] * i + [1]) for i in range(min(ring.r, 20))]
+    for x in basis + [ring.element([rng.randrange(4) for _ in range(ring.r)]) for _ in "abc"]:
+        conjugates, y = [], x
+        for _ in range(ring.r):
+            conjugates.append(y)
+            y = ring.frobenius(y)
+        assert ring.embed(ring.trace(x)) == sum(conjugates, ring.zero)
+    with pytest.raises(ValueError):
+        ring.trace(construct_ring(5).x)
+
+
+# the 26 odd primes below 300 of which 2 is a primitive root, so r = p - 1
+CYCLOTOMIC_PRIMES = [p for p in odd_primes(3, 300) if ord2_mod_p(p) == p - 1]
+
+
+class TestCyclotomicRing:
+    def test_is_the_ring_of_the_graeffe_lift_of_phi_p(self):
+        # Phi_p mod 2 is irreducible and lifts to Phi_p itself
+        for p in CYCLOTOMIC_PRIMES[:10]:
+            ring = CyclotomicRing(p)
+            assert ring == GaloisRing((1 << p) - 1) and ring.r == p - 1
+            assert ring.x_is_teichmuller() and ring.x**p == ring.one
+        assert CyclotomicRing(3) == construct_ring(3)  # Phi_3 is the lex modulus too
+
+    @pytest.mark.parametrize("p", [7, 17, 31, 9, 2, 1, -3])
+    def test_refuses_p_unless_2_is_a_primitive_root(self, p):
         with pytest.raises(ValueError):
-            ring.trace(construct_ring(5).x)
+            CyclotomicRing(p)
+
+    def test_power_sums_match_newtons_identities(self):
+        for p in CYCLOTOMIC_PRIMES:
+            ring = CyclotomicRing(p)
+            assert ring._power_sums == GaloisRing._power_sums.func(ring), p
+
+    @pytest.mark.parametrize("p", [3, 5, 11, 59, 293])
+    def test_trace_is_the_sum_of_the_frobenius_conjugates(self, p):
+        assert_trace_is_the_sum_of_the_frobenius_conjugates(CyclotomicRing(p), p)
+
+    def test_beta_is_the_scans(self):
+        for p in CYCLOTOMIC_PRIMES:
+            ring = CyclotomicRing(p)
+            beta, gamma = ring.beta_and_gamma()
+            assert (beta, gamma) == find_gamma(ring, p), p
+            assert beta == oracles.scan_beta(ring, p), p
+
+    def test_omega_is_a_root_of_y2_y_1(self):
+        # the scan's omega or its square: either root serves the descent
+        for p in CYCLOTOMIC_PRIMES:
+            ring = CyclotomicRing(p)
+            omega, scanned = ring.omega(), find_gamma(ring, 3)[0]
+            assert omega * omega + omega + ring.one == ring.zero and omega != ring.one
+            assert omega in (scanned, scanned * scanned), p
+
+    def test_beta_falls_back_to_the_scan_where_p_divides_m(self, monkeypatch):
+        # no known Wieferich prime has 2 as a primitive root, so the branch
+        # is forced
+        calls, real = [], galois.find_gamma
+
+        def scan(ring, p):
+            calls.append(p)
+            return real(ring, p)
+
+        ring = CyclotomicRing(59)
+        closed = ring.beta_and_gamma()
+        monkeypatch.setattr(galois, "find_gamma", scan)
+        assert ring.beta_and_gamma() == closed and not calls
+        monkeypatch.setattr(galois, "_fermat_quotient", lambda p: 0)
+        assert ring.beta_and_gamma() == closed and calls == [59]
+
+    def test_fermat_quotient(self):
+        for p in odd_primes(3, 2000):
+            assert galois._fermat_quotient(p) == ((1 << (p - 1)) - 1) // p % p
+        assert galois._fermat_quotient(1093) == galois._fermat_quotient(3511) == 0
 
 
 def check_gamma_postconditions(p):

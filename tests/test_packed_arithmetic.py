@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import oracles
 from cyclo4 import f2, galois
-from cyclo4.galois import GaloisRing, GaloisRingElement, construct_ring, find_gamma, powers_of
+from cyclo4.galois import (
+    CyclotomicRing,
+    GaloisRing,
+    GaloisRingElement,
+    construct_ring,
+    find_gamma,
+    powers_of,
+)
 from cyclo4.ringpoly import RingPolynomial
 from cyclo4.verify import CheckStatus, _Workspace, check_factorizations, check_gamma, full_report
 
@@ -86,6 +93,53 @@ def test_inverse_matches_schoolbook(args):
     assert oracles.gr_mul(_modulus(ring), a.coords, a.inverse().coords) == one
 
 
+# Z4[X]/(Phi_p), reduced through X**p = 1; Phi_3 is also the lex modulus
+CYCLOTOMIC = [CyclotomicRing(p) for p in (3, 5, 11, 13, 29, 59)]
+
+
+def _full_degree(ring):
+    """Uniform elements with a nonzero top coordinate. Two of them multiply
+    to degree 2p - 4, at or above p for p >= 5, so the fold through
+    X**p = 1 runs, and then the removal of c Phi_p, c the folded top slot,
+    which is nonzero for most draws."""
+    top = st.randoms(use_true_random=False).map(
+        lambda rng: rng.randrange(4 ** (ring.r - 1), 4**ring.r)
+    )
+    return top.map(lambda k: _from_counter(ring, k))
+
+
+def _cyclotomic_with(count):
+    return st.sampled_from(CYCLOTOMIC).flatmap(
+        lambda ring: st.tuples(st.just(ring), *[_full_degree(ring)] * count)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cyclotomic_with(2))
+def test_cyclotomic_multiply_matches_schoolbook(args):
+    ring, a, b = args
+    assert (a * b).coords == oracles.gr_mul([1] * ring.p, a.coords, b.coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cyclotomic_with(1), st.integers(0, 300))
+def test_cyclotomic_power_matches_schoolbook(args, n):
+    ring, a = args
+    assert (a**n).coords == oracles.gr_pow([1] * ring.p, a.coords, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cyclotomic_with(1))
+def test_cyclotomic_inverse_matches_schoolbook(args):
+    ring, a = args
+    if not a.is_unit():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    one = (1,) + (0,) * (ring.r - 1)
+    assert oracles.gr_mul([1] * ring.p, a.coords, a.inverse().coords) == one
+
+
 @settings(max_examples=100, deadline=None)
 @given(_ring_with(3))
 def test_ring_axioms(args):
@@ -153,7 +207,7 @@ def test_sequence_values_match_oracle_when_r_is_small(p):
 
 def _with_gamma(ws, gamma):
     return SimpleNamespace(
-        ring=ws.ring, p=ws.p, beta=ws.beta, raw_gamma=ws.raw_gamma,
+        ring=ws.ring, p=ws.p, beta=ws.beta, raw_gamma=ws.raw_gamma, raw_gamma_p=ws.raw_gamma_p,
         normalized=ws.normalized, gamma=gamma, gamma_p=gamma**ws.p,
     )
 

@@ -11,9 +11,11 @@ from cyclo4 import f2, verify
 from cyclo4.cyclotomy import build_classes
 from cyclo4.galois import (
     Z4,
+    CyclotomicRing,
     GaloisRing,
     construct_ring,
     find_gamma,
+    ord2_mod_p,
     powers_of,
 )
 from cyclo4.lfsr import theorem_lc
@@ -81,24 +83,26 @@ class TestNormalization:
 
 
 def _omega(ring, p):
-    """What normalize_gamma takes for omega: None for p = +-1 (mod 8), else
-    find_gamma's root of Y**2 + Y + 1."""
-    return None if p % 8 in (1, 7) else find_gamma(ring, 3)[0]
+    """What the workspace's normalize_gamma takes for omega: None for
+    p = +-1 (mod 8), else the root of Y**2 + Y + 1 that the cyclotomic ring
+    reads from a Gauss period, or else find_gamma's."""
+    if p % 8 in (1, 7):
+        return None
+    return ring.omega() if isinstance(ring, CyclotomicRing) else find_gamma(ring, 3)[0]
 
 
-def _traced_and_chained(p, classes=None):
-    """The raw class sums of p by traces and by the oracle's chain of
-    products, over the true classes or the given ones."""
-    ws = _Workspace(p)
+def _traced_and_chained(ws, classes=None):
+    """The raw class sums of the workspace's p by traces and by the
+    oracle's chain of products, over the true classes or the given ones."""
     classes = classes or ws.classes
-    traced = verify._class_sums(ws.ring, classes, ws.raw_gamma, _omega(ws.ring, p))
+    traced = verify._class_sums(ws.ring, classes, ws.raw_gamma, _omega(ws.ring, ws.p))
     return traced, oracles.class_sums_by_chain(ws.ring, classes, ws.raw_gamma)
 
 
 def _assert_traces_agree_with_the_chain(primes):
     routes, replaced = set(), False
     for p in primes:
-        traced, chained = _traced_and_chained(p)
+        traced, chained = _traced_and_chained(_Workspace(p))
         assert traced == chained, p
         routes.add(p % 8 in (1, 7))
         replaced = replaced or _Workspace(p).normalized.replaced
@@ -143,7 +147,9 @@ class TestClassSumsAsTraces:
         bumped = list(ring._power_sums)
         bumped[i] = (bumped[i] + 1) % 4
         monkeypatch.setattr(ring, "_power_sums", bumped)
-        traced, chained = _traced_and_chained(p)
+        ws = _Workspace(p)
+        ws.ring = ring
+        traced, chained = _traced_and_chained(ws)
         assert traced != chained
 
     @pytest.mark.parametrize("p", (3, 5, 11, 13, 19, 29, 43))
@@ -177,9 +183,9 @@ class TestClassSumsAsTraces:
 
         moved = odd_lifts(min(c.d0)) | odd_lifts(min(c.d1))
         swapped = oracles.replace_sets(c, d0=c.d0 ^ moved, d1=c.d1 ^ moved)
-        traced, chained = _traced_and_chained(p, swapped)
+        traced, chained = _traced_and_chained(_Workspace(p), swapped)
         assert traced == chained
-        assert traced != _traced_and_chained(p)[0]
+        assert traced != _traced_and_chained(_Workspace(p))[0]
 
     def test_orbits_shorter_than_the_ring_degree_are_refused(self):
         # GR(4**6, 4) holds units of order 7, but sigma has order 6 and the
@@ -220,8 +226,7 @@ def _with_sum(ws, name, value):
 
 # (check, p, the workspace fields a mutant overrides, the line it renders)
 FAIL_MUTANTS = [
-    # gamma is not replaced at 3, so the check reads the mutated gamma**p
-    ("gamma", 3, lambda ws: {"gamma_p": ws.ring.one}, "gamma FAIL beta does not have order p"),
+    ("gamma", 3, lambda ws: {"raw_gamma_p": ws.ring.one}, "gamma FAIL beta does not have order p"),
     (
         "lemma3", 7,
         lambda ws: {"classes": _swapped(ws, "d0", "d1")},
@@ -257,7 +262,7 @@ FAIL_MUTANTS = [
     ("lemma9", 7, lambda ws: {"gamma_p": ws.ring.one}, "lemma9 FAIL sigma(gamma) != gamma^(p+2)"),
     (
         "roots", 5,
-        lambda ws: {"gamma_p": ws.ring.embed(2)},
+        lambda ws: {"raw_gamma_p": ws.ring.embed(2)},
         "roots FAIL witness does not vanish at gamma^1",
     ),
     ("theorem", 7, lambda ws: {"seq": _flipped(ws.seq, 1)}, "theorem FAIL lc = 14, closed form 4"),
@@ -281,7 +286,7 @@ class TestIndividualChecks:
         ]
         for (b, g), detail in cases:
             mutant = SimpleNamespace(
-                ring=ring, p=p, beta=b, raw_gamma=g, gamma=g, gamma_p=g**p,
+                ring=ring, p=p, beta=b, raw_gamma=g, gamma=g, raw_gamma_p=g**p,
                 normalized=ws.normalized,
             )
             got = check_gamma(mutant)
@@ -405,7 +410,7 @@ class TestRootsGuard:
         # the vanishing first fails at gamma^1, where gamma**p stands for
         # every odd j
         ring, two = workspaces[p].ring, workspaces[p].ring.embed(2)
-        got = check_roots_guard(SimpleNamespace(ring=ring, p=p, gamma_p=two**p))
+        got = check_roots_guard(SimpleNamespace(ring=ring, p=p, raw_gamma_p=two**p))
         assert got.status is CheckStatus.FAIL
         assert got.detail == "witness does not vanish at gamma^1"
 
@@ -416,7 +421,7 @@ class TestRootsGuard:
         # of the unit X + 1
         ring = workspaces[p].ring
         y = ring.embed(2) if wrong == "2" else ring.x
-        got = check_roots_guard(SimpleNamespace(ring=ring, p=p, gamma_p=y))
+        got = check_roots_guard(SimpleNamespace(ring=ring, p=p, raw_gamma_p=y))
         assert got.status is CheckStatus.FAIL
         assert got.detail == "witness does not vanish at gamma^1"
 
@@ -433,7 +438,7 @@ class TestRootsGuard:
         # the witness, X^2p - 1 and both remainders are 2p + 1 bytes each;
         # as int lists the peak was 8.1 MB at p = 104729
         ws = _Workspace(104729)
-        ws.gamma_p
+        ws.raw_gamma_p
         tracemalloc.start()
         try:
             assert check_roots_guard(ws).status is CheckStatus.PASS
@@ -447,6 +452,24 @@ class TestRootsGuard:
         two_x_minus_2 = RingPolynomial.from_ints(Z4, [-2, 2])
         with pytest.raises(NonUnitDivisorError):
             divmod(RingPolynomial.from_ints(Z4, [1, 1]), two_x_minus_2)
+
+
+class TestRingChoice:
+    def test_the_cyclotomic_ring_renders_what_the_lex_ring_renders(self):
+        # every p below 300 with r = p - 1, 3 included: Phi_3 is the lex
+        # modulus there, and beta and omega both have order 3
+        primes = [p for p in odd_primes(3, 300) if ord2_mod_p(p) == p - 1]
+        assert primes[:3] == [3, 5, 11] and len(primes) == 26
+        for p in primes:
+            ws, lex = _Workspace(p), _Workspace(p)
+            lex.ring = construct_ring(p)
+            lines = [check(lex).render() for check in verify._CHECKS.values()]
+            assert full_report(p).render().splitlines() == lines, p
+            assert isinstance(ws.ring, CyclotomicRing) and ws.ring.p == p
+
+    @pytest.mark.parametrize("p", (7, 17, 31, 43, 73))
+    def test_the_lex_ring_where_2_is_not_a_primitive_root(self, p):
+        assert _Workspace(p).ring is construct_ring(p)
 
 
 class TestFullReport:
@@ -512,13 +535,13 @@ class TestFullReport:
     @pytest.mark.parametrize("only", [{"lemma3", "lemma5"}, {"theorem"}])
     @pytest.mark.parametrize("p", (7, 4003))
     def test_checks_that_read_no_ring_build_none(self, p, only, monkeypatch):
-        # p = 4003 (r = 4002): the ring, gamma and its class sums take
-        # about 0.3 s there, the classes and the synthesis milliseconds;
-        # the theorem reads the period from the class codes, no class set
+        # p = 4003 (r = 4002 = p - 1) would take Z4[X]/(Phi_p); the theorem
+        # reads the period from the class codes, no class set
         def refuse(*args):
             raise AssertionError("built what the checks do not read")
 
         monkeypatch.setattr(verify, "construct_ring", refuse)
+        monkeypatch.setattr(verify, "CyclotomicRing", refuse)
         monkeypatch.setattr(verify, "find_gamma", refuse)
         if only == {"theorem"}:
             monkeypatch.setattr(verify, "build_classes", refuse)
