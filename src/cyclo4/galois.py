@@ -14,9 +14,10 @@ degree-1 irreducible X), so the integers mod 4 and their extensions share
 one element type. :data:`Z4` is that ring, ``GaloisRing(0b10)``.
 
 For an odd prime p with r the order of 2 mod p, the unit group (of order
-2**r * (2**r - 1)) contains elements of order p; ``find_gamma`` lifts one
-from the residue field by one ring squaring and returns it as beta with
-gamma = 3*beta, a unit of order 2p satisfying gamma**p = 3 = -1.
+2**r * (2**r - 1)) contains elements of order p; ``find_gamma`` returns
+one as beta with gamma = 3*beta, a unit of order 2p satisfying gamma**p =
+3 = -1. The ring lifts beta from the residue field by one ring squaring,
+or, on :class:`CyclotomicRing`, reads the same beta as a power of X.
 """
 
 from __future__ import annotations
@@ -204,6 +205,23 @@ class GaloisRing:
         binary digits of the residue with B - 1 zeros between two of them."""
         pad = "0" * (self._slot_bits - 1)
         return GaloisRingElement(self, int(pad.join(format(bits, "b")), 2))
+
+    def _beta(self, p: int) -> "GaloisRingElement":
+        """``find_gamma``'s beta for p, which divides 2**r - 1, by its scan
+        of the residue field (the proof is on :func:`find_gamma`)."""
+        order = (1 << self.r) - 1
+        e = ((order // p) << (self.r - 1)) % order  # 2**(r - 1) halves exponents mod 2**r - 1
+        s = 2
+        while (c := f2.powmod(s, e, self._mod2)) == 1:
+            s += 1
+        root = self._lift(c)
+        return root * root
+
+    def omega(self) -> "GaloisRingElement":
+        """A root of Y**2 + Y + 1 other than 1, ``find_gamma(self, 3)[0]``,
+        of order 3; ValueError where r is odd, as 3 then does not divide
+        2**r - 1."""
+        return find_gamma(self, 3)[0]
 
     def element(self, coords) -> "GaloisRingElement":
         """The element of base-4 coordinates coords, X**0 first, each an
@@ -467,23 +485,19 @@ class CyclotomicRing(GaloisRing):
         roots X**a of Phi_p sum to -1."""
         return [self.r % 4] + [3] * (self.r - 1)
 
-    def beta_and_gamma(self) -> tuple["GaloisRingElement", "GaloisRingElement"]:
-        """``find_gamma(self, p)``, read in closed form where its scan stops
-        at once.
+    def _beta(self, p: int) -> "GaloisRingElement":
+        """The scan's beta, read in closed form where the scan stops at once.
 
         The scan's beta is T(s**m) for the first s = X, X + 1, ... with
-        s**m != 1, m = (2**r - 1)/p. X mod 2 has order p, so the scan stops
-        at s = X unless p | m, with beta = T(X**m) = X**(m mod p), as X is
-        Teichmüller and X**p = 1. m mod p is the Fermat quotient of 2
-        (``_fermat_quotient``); where it is 0, the scan runs.
+        s**m != 1, m = (2**r - 1)/p. For p = self.p, X mod 2 has order p, so
+        the scan stops at s = X unless p | m, with beta = T(X**m) =
+        X**(m mod p), as X is Teichmüller and X**p = 1. m mod p is the Fermat
+        quotient of 2 (``_fermat_quotient``); where it is 0, the scan runs.
         """
-        k = _fermat_quotient(self.p)
+        k = _fermat_quotient(p) if p == self.p else 0
         if not k:
-            return find_gamma(self, self.p)
-        beta = GaloisRingElement(self, self._reduce(1 << (self._slot_bits * k)))
-        if beta**self.p != self.one:
-            raise RuntimeError("internal: beta**p != 1")
-        return beta, -beta
+            return super()._beta(p)
+        return GaloisRingElement(self, self._reduce(1 << (self._slot_bits * k)))
 
     def omega(self) -> "GaloisRingElement":
         """A root of Y**2 + Y + 1 other than 1: lift(eta1 mod 2)**2, for the
@@ -532,19 +546,13 @@ def find_gamma(ring: GaloisRing, p: int) -> tuple[GaloisRingElement, GaloisRingE
     that power is T((u mod 2)**m). The bits of u mod 2 are the parities of
     u's base-4 digits, and the first counter value with parities s is
     sum(s_i * 4**i), which increases with s: the scan stops at the same
-    least s. When X is Teichmüller, X**m is the case s = X.
+    least s. When X is Teichmüller, X**m is the case s = X, which
+    :class:`CyclotomicRing` reads in closed form (``GaloisRing._beta``).
     """
     require_odd_prime(p)
-    r = ring.r
-    order = (1 << r) - 1
-    if order % p != 0:
-        raise ValueError(f"p={p} does not divide 2**{r} - 1; wrong ring for this p")
-    e = ((order // p) << (r - 1)) % order  # 2**(r - 1) halves exponents mod 2**r - 1
-    s = 2
-    while (c := f2.powmod(s, e, ring._mod2)) == 1:
-        s += 1
-    root = ring._lift(c)
-    beta = root * root
+    if ((1 << ring.r) - 1) % p != 0:
+        raise ValueError(f"p={p} does not divide 2**{ring.r} - 1; wrong ring for this p")
+    beta = ring._beta(p)
     # gamma = -beta and p is odd, so gamma**p = -beta**p = -1 follows from this
     if beta ** p != ring.one:
         raise RuntimeError("internal: beta**p != 1")

@@ -110,7 +110,6 @@ def normalize_gamma(
     ring: GaloisRing,
     classes: GeneralizedCyclotomy,
     gamma: GaloisRingElement,
-    omega: GaloisRingElement | None = None,
 ) -> NormalizedGamma:
     """Replace gamma by gamma**v, v in D1, if needed to make S0 a unit.
 
@@ -139,9 +138,9 @@ def normalize_gamma(
     - Down to Z4[omega]. For q = 4 (2 is then a non-residue mod p, so r is
       even) it is (-1)**u T(beta**a), with T the sum of sigma**(2k) over
       k < r/2: the trace down to the ring fixed by sigma**2, GR(4**2, 4) =
-      Z4 + Z4 omega. omega, given or else ``find_gamma(ring, 3)[0]``, is
-      checked to be a root of Y**2 + Y + 1, so it is Teichmüller of order 3 and
-      sigma(omega) = omega**2 = -1 - omega. T is linear over that ring and
+      Z4 + Z4 omega. omega = ``ring.omega()`` is checked to be a root of
+      Y**2 + Y + 1, so it is Teichmüller of order 3 and sigma(omega) =
+      omega**2 = -1 - omega. T is linear over that ring and
       Tr = T + sigma(T), whose values at 1, omega and omega**2 are 2, -1
       and -1. For T(x) = c0 + c1 omega, t1 = Tr(x) is 2 c0 - c1 and
       t2 = Tr(omega x) is -c0 - c1, so c0 = 3 (t1 - t2) and c1 = -c0 - t2.
@@ -153,8 +152,7 @@ def normalize_gamma(
     if classes.p % 8 in (1, 7):
         omega = None
     else:
-        if omega is None:
-            omega = find_gamma(ring, 3)[0]
+        omega = ring.omega()
         if omega * omega + omega + ring.one != ring.zero:
             raise RuntimeError("internal: omega is not a root of Y^2 + Y + 1")
     sums = _class_sums(ring, classes, gamma, omega)
@@ -245,17 +243,10 @@ class _Workspace:
     ring = cached_property(
         lambda ws: CyclotomicRing(ws.p) if ord2_mod_p(ws.p) == ws.p - 1 else construct_ring(ws.p)
     )
-    _cyclotomic = property(lambda ws: isinstance(ws.ring, CyclotomicRing))
-    _found = cached_property(  # (beta, raw gamma)
-        lambda ws: ws.ring.beta_and_gamma() if ws._cyclotomic else find_gamma(ws.ring, ws.p)
-    )
+    _found = cached_property(lambda ws: find_gamma(ws.ring, ws.p))  # (beta, raw gamma)
     beta = property(lambda ws: ws._found[0])
     raw_gamma = property(lambda ws: ws._found[1])
-    normalized = cached_property(
-        lambda ws: normalize_gamma(
-            ws.ring, ws.classes, ws.raw_gamma, ws.ring.omega() if ws._cyclotomic else None
-        )
-    )
+    normalized = cached_property(lambda ws: normalize_gamma(ws.ring, ws.classes, ws.raw_gamma))
     gamma = cached_property(lambda ws: ws.normalized.gamma)
     seq = cached_property(lambda ws: generate_sequence(ws.p))
     raw_gamma_p = cached_property(lambda ws: ws.raw_gamma**ws.p)

@@ -272,9 +272,21 @@ class TestCyclotomicRing:
     def test_beta_is_the_scans(self):
         for p in CYCLOTOMIC_PRIMES:
             ring = CyclotomicRing(p)
-            beta, gamma = ring.beta_and_gamma()
-            assert (beta, gamma) == find_gamma(ring, p), p
+            beta, gamma = find_gamma(ring, p)
+            scanned = GaloisRing._beta(ring, p)  # the residue-field scan
+            assert (beta, gamma) == (scanned, -scanned), p
             assert beta == oracles.scan_beta(ring, p), p
+
+    @pytest.mark.parametrize("p", [3, 5, 11, 59, 293])
+    def test_find_gamma_reads_beta_without_a_scan(self, p, monkeypatch):
+        ring = CyclotomicRing(p)
+        scanned = oracles.scan_beta(ring, p)
+
+        def refuse(*args):
+            raise AssertionError("scanned the residue field")
+
+        monkeypatch.setattr(f2, "powmod", refuse)
+        assert find_gamma(ring, p) == (scanned, -scanned)
 
     def test_omega_is_a_root_of_y2_y_1(self):
         # the scan's omega or its square: either root serves the descent
@@ -287,18 +299,18 @@ class TestCyclotomicRing:
     def test_beta_falls_back_to_the_scan_where_p_divides_m(self, monkeypatch):
         # no known Wieferich prime has 2 as a primitive root, so the branch
         # is forced
-        calls, real = [], galois.find_gamma
+        calls, real = [], GaloisRing._beta
 
         def scan(ring, p):
             calls.append(p)
             return real(ring, p)
 
         ring = CyclotomicRing(59)
-        closed = ring.beta_and_gamma()
-        monkeypatch.setattr(galois, "find_gamma", scan)
-        assert ring.beta_and_gamma() == closed and not calls
+        closed = find_gamma(ring, 59)
+        monkeypatch.setattr(GaloisRing, "_beta", scan)
+        assert find_gamma(ring, 59) == closed and not calls
         monkeypatch.setattr(galois, "_fermat_quotient", lambda p: 0)
-        assert ring.beta_and_gamma() == closed and calls == [59]
+        assert find_gamma(ring, 59) == closed and calls == [59]
 
     def test_fermat_quotient(self):
         for p in odd_primes(3, 2000):
@@ -334,6 +346,22 @@ class TestFindGamma:
     def test_wrong_ring_rejected(self):
         with pytest.raises(ValueError):
             find_gamma(construct_ring(3), 5)
+
+    @pytest.mark.parametrize("p", [5, 13, 17, 29, 43])
+    def test_omega_on_a_lex_ring_of_even_r(self, p):
+        ring = construct_ring(p)
+        assert type(ring) is GaloisRing and ring.r % 2 == 0
+        omega = ring.omega()
+        assert omega * omega + omega + ring.one == ring.zero and omega != ring.one
+        assert omega == find_gamma(ring, 3)[0]
+
+    @pytest.mark.parametrize("p", [7, 23, 47])
+    def test_omega_refused_where_r_is_odd(self, p):
+        # 3 divides 2**r - 1 only for even r; Z4 is the ring of r = 1
+        for ring in (construct_ring(p), Z4):
+            assert ring.r % 2
+            with pytest.raises(ValueError):
+                ring.omega()
 
     def test_distinct_powers_differ_by_units(self):
         for p in (3, 5, 7):

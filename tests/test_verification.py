@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
-from cyclo4 import f2, verify
+from cyclo4 import f2, galois, verify
 from cyclo4.cyclotomy import build_classes
 from cyclo4.galois import (
     Z4,
@@ -83,12 +83,11 @@ class TestNormalization:
 
 
 def _omega(ring, p):
-    """What the workspace's normalize_gamma takes for omega: None for
-    p = +-1 (mod 8), else the root of Y**2 + Y + 1 that the cyclotomic ring
-    reads from a Gauss period, or else find_gamma's."""
+    """What normalize_gamma takes for omega: None for p = +-1 (mod 8), else
+    the ring's root of Y**2 + Y + 1."""
     if p % 8 in (1, 7):
         return None
-    return ring.omega() if isinstance(ring, CyclotomicRing) else find_gamma(ring, 3)[0]
+    return ring.omega()
 
 
 def _traced_and_chained(ws, classes=None):
@@ -152,6 +151,25 @@ class TestClassSumsAsTraces:
         traced, chained = _traced_and_chained(ws)
         assert traced != chained
 
+    @pytest.mark.parametrize("p", (5, 11, 13, 59, 61, 293))
+    @pytest.mark.parametrize("mutant", ("beta's exponent bumped", "-1 read as 0"))
+    def test_a_wrong_closed_form_power_sum_changes_the_sums(self, p, mutant):
+        # on Z4[X]/(Phi_p) a bumped P_0 or P_1 can go unseen (at p = 13 and
+        # 59); a bumped P_k, for beta = X**k, and the P_i = -1 of 0 < i < r
+        # read as 0 change the sums at each p here
+        ring = CyclotomicRing(p)
+        sums = ring._power_sums
+        if mutant == "-1 read as 0":
+            ring._power_sums = sums[:1] + [0] * (ring.r - 1)
+        else:
+            k = galois._fermat_quotient(p)
+            assert find_gamma(ring, p)[0] == ring.x**k
+            sums[k] = (sums[k] + 1) % 4
+        ws = _Workspace(p)
+        ws.ring = ring
+        traced, chained = _traced_and_chained(ws)
+        assert traced != chained
+
     @pytest.mark.parametrize("p", (3, 5, 11, 13, 19, 29, 43))
     def test_omega_one_fails_the_sums_and_the_premise(self, p, monkeypatch):
         # with omega = 1 each coset's (c0, c1) reads (0, -t1), so D0 + D1,
@@ -165,7 +183,7 @@ class TestClassSumsAsTraces:
             m.setattr(verify, "_class_sums", lambda *args: real(*args[:3], ring.one))
             with pytest.raises(RuntimeError, match="D0 and D1 do not add to 1"):
                 normalize_gamma(ring, ws.classes, ws.raw_gamma)
-        monkeypatch.setattr(verify, "find_gamma", lambda ring, p: (ring.one, -ring.one))
+        monkeypatch.setattr(type(ring), "omega", lambda self: self.one)
         with pytest.raises(RuntimeError, match="omega is not a root of Y"):
             normalize_gamma(ring, ws.classes, ws.raw_gamma)
 
